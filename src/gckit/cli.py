@@ -4,7 +4,7 @@ Every verb maps to exactly one library operation; inputs and outputs use the
 plain-text encodings of the owning modules.  Exit codes distinguish three
 cases: 0 for success, 1 for a mathematical failure (a check that ran fine but
 answered "no"), 2 for an input or usage error.  All output is deterministic:
-terms are emitted sorted by canonical key, and ``--jobs`` never changes bytes.
+terms are emitted sorted by canonical key.
 """
 
 from __future__ import annotations
@@ -186,16 +186,6 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker budget hint; affects speed only, never output bytes",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gckit",
@@ -223,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vertices", type=int, required=True, metavar="N")
     p.add_argument("--edges", type=int, required=True, metavar="M")
-    _add_jobs(p)
     p.set_defaults(handler=_cmd_kernel)
 
     p = sub.add_parser("orient", help="orientation morphism of a graph or sum")
@@ -232,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="divide all coefficients by their positive rational content",
     )
-    _add_jobs(p)
     p.add_argument("input", help="graph or graph-sum file")
     p.set_defaults(handler=_cmd_orient)
 
@@ -244,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "rules-check",
         help="cross-check the sign rules against witness parities",
     )
-    _add_jobs(p)
     p.add_argument("input", help="graph file")
     p.set_defaults(handler=_cmd_rules_check)
 
@@ -252,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson", required=True, metavar="FILE")
     p.add_argument("--dim", type=int, metavar="D",
                    help="expected dimension of the bivector file")
-    _add_jobs(p)
     p.add_argument("input", help="orgraph-sum file")
     p.set_defaults(handler=_cmd_eval)
 
@@ -269,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson", required=True, metavar="FILE")
     p.add_argument("--dim", type=int, metavar="D",
                    help="expected dimension of the bivector file")
-    _add_jobs(p)
     p.set_defaults(handler=_cmd_verify_corollary)
 
     p = sub.add_parser(

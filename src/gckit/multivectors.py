@@ -55,6 +55,8 @@ TermKey = tuple[XExp, XiSet]
 
 def _normal_order(xis: Sequence[int]) -> tuple[XiSet, int] | None:
     """Sort odd indices, returning (sorted tuple, sign); None if repeated."""
+    if len(xis) < 2:
+        return tuple(xis), 1
     if len(set(xis)) != len(xis):
         return None
     sign = -1 if inversion_count(xis) % 2 else 1
@@ -92,8 +94,11 @@ class Multivector:
         ordered = _normal_order(xis)
         if ordered is None or not coeff:
             return
-        key = (tuple(xexp), ordered[0])
-        value = self._terms.get(key, Fraction(0)) + coeff * ordered[1]
+        self._add((tuple(xexp), ordered[0]), coeff * ordered[1])
+
+    def _add(self, key: TermKey, coeff: Fraction) -> None:
+        """Accumulate one term whose key is already valid and normal ordered."""
+        value = self._terms.get(key, Fraction(0)) + coeff
         if value:
             self._terms[key] = value
         else:
@@ -117,10 +122,8 @@ class Multivector:
     def components(self) -> Iterator[tuple[int, "Multivector"]]:
         """Yield (xi-degree, homogeneous part) pairs, ascending."""
         parts: dict[int, Multivector] = {}
-        for (xexp, xis), coeff in self._terms.items():
-            parts.setdefault(len(xis), Multivector(self.dimension)).add_term(
-                xexp, xis, coeff
-            )
+        for key, coeff in self._terms.items():
+            parts.setdefault(len(key[1]), Multivector(self.dimension))._add(key, coeff)
         yield from sorted(parts.items())
 
     def copy(self) -> "Multivector":
@@ -146,8 +149,8 @@ class Multivector:
         if self.dimension != other.dimension:
             raise MultivectorError("dimension mismatch")
         out = self.copy()
-        for (xexp, xis), coeff in other._terms.items():
-            out.add_term(xexp, xis, coeff)
+        for key, coeff in other._terms.items():
+            out._add(key, coeff)
         return out
 
     def __sub__(self, other: "Multivector") -> "Multivector":
@@ -177,10 +180,12 @@ def multivector_product(f: Multivector, g: Multivector) -> Multivector:
     out = Multivector(f.dimension)
     for (xa, ia), ca in f._terms.items():
         for (xb, ib), cb in g._terms.items():
-            if set(ia) & set(ib):
+            merged = _normal_order(ia + ib)
+            if merged is None:
                 continue
+            xis, sign = merged
             xexp = tuple(a + b for a, b in zip(xa, xb))
-            out.add_term(xexp, ia + ib, ca * cb)
+            out._add((xexp, xis), ca * cb if sign > 0 else -ca * cb)
     return out
 
 
@@ -192,7 +197,7 @@ def xi_derivative(f: Multivector, index: int) -> Multivector:
             continue
         pos = xis.index(index)
         rest = xis[:pos] + xis[pos + 1:]
-        out.add_term(xexp, rest, coeff if pos % 2 == 0 else -coeff)
+        out._add((xexp, rest), coeff if pos % 2 == 0 else -coeff)
     return out
 
 
@@ -203,7 +208,7 @@ def x_derivative(f: Multivector, index: int) -> Multivector:
         if not xexp[index]:
             continue
         lowered = xexp[:index] + (xexp[index] - 1,) + xexp[index + 1:]
-        out.add_term(lowered, xis, coeff * xexp[index])
+        out._add((lowered, xis), coeff * xexp[index])
     return out
 
 
@@ -244,102 +249,37 @@ def jacobiator(p: Multivector) -> Multivector:
 # Algebraic evaluation: edge operators acting on placed multivectors.
 #
 # The computation happens in a product algebra with one copy of the
-# coordinates per graph vertex: even generator (copy, alpha) at flat index
-# copy*d + alpha, and likewise for the odd generators.  Applying all edge
-# operators and restricting to the diagonal returns an ordinary multivector.
-
-BigTerm = tuple[XExp, XiSet]
-
-
-def _big_scale(terms: dict[BigTerm, Fraction], factor: Fraction) -> None:
-    for key in terms:
-        terms[key] *= factor
+# coordinates per graph vertex.  It is a Multivector of dimension n*d: the
+# even generator (copy, alpha) is coordinate copy*d + alpha, and likewise for
+# the odd generators, so products and derivatives there are the ordinary
+# ones.  Applying all edge operators and restricting to the diagonal returns
+# a multivector on R^d.
 
 
-def _big_add(
-    terms: dict[BigTerm, Fraction], key: BigTerm, coeff: Fraction
-) -> None:
-    value = terms.get(key, Fraction(0)) + coeff
-    if value:
-        terms[key] = value
-    else:
-        terms.pop(key, None)
-
-
-def _big_product(
-    left: dict[BigTerm, Fraction], right: dict[BigTerm, Fraction]
-) -> dict[BigTerm, Fraction]:
-    out: dict[BigTerm, Fraction] = {}
-    for (xa, ia), ca in left.items():
-        for (xb, ib), cb in right.items():
-            if set(ia) & set(ib):
-                continue
-            merged = _normal_order(ia + ib)
-            if merged is None:
-                continue
-            xis, sign = merged
-            xexp = tuple(a + b for a, b in zip(xa, xb))
-            _big_add(out, (xexp, xis), ca * cb * sign)
-    return out
-
-
-def _big_xi_derivative(
-    terms: dict[BigTerm, Fraction], index: int
-) -> dict[BigTerm, Fraction]:
-    out: dict[BigTerm, Fraction] = {}
-    for (xexp, xis), coeff in terms.items():
-        if index not in xis:
-            continue
-        pos = xis.index(index)
-        rest = xis[:pos] + xis[pos + 1:]
-        _big_add(out, (xexp, rest), coeff if pos % 2 == 0 else -coeff)
-    return out
-
-
-def _big_x_derivative(
-    terms: dict[BigTerm, Fraction], index: int
-) -> dict[BigTerm, Fraction]:
-    out: dict[BigTerm, Fraction] = {}
-    for (xexp, xis), coeff in terms.items():
-        if not xexp[index]:
-            continue
-        lowered = xexp[:index] + (xexp[index] - 1,) + xexp[index + 1:]
-        _big_add(out, (lowered, xis), coeff * xexp[index])
-    return out
-
-
-def _placed(mv: Multivector, copy: int, copies: int) -> dict[BigTerm, Fraction]:
+def _placed(mv: Multivector, copy: int, copies: int) -> Multivector:
     d = mv.dimension
-    width = copies * d
-    out: dict[BigTerm, Fraction] = {}
+    out = Multivector(copies * d)
     for (xexp, xis), coeff in mv._terms.items():
-        big_x = [0] * width
+        big_x = [0] * (copies * d)
         big_x[copy * d: (copy + 1) * d] = xexp
-        big_xis = tuple(copy * d + i for i in xis)
-        out[(tuple(big_x), big_xis)] = coeff
+        out._add((tuple(big_x), tuple(copy * d + i for i in xis)), coeff)
     return out
 
 
-def _edge_operator(
-    terms: dict[BigTerm, Fraction], u: int, v: int, d: int
-) -> dict[BigTerm, Fraction]:
+def _edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
     """Apply one edge operator coupling vertex copies u and v (0-based)."""
-    out: dict[BigTerm, Fraction] = {}
+    out = Multivector(big.dimension)
     for alpha in range(d):
         for tail, head in ((u, v), (v, u)):
-            part = _big_x_derivative(
-                _big_xi_derivative(terms, tail * d + alpha), head * d + alpha
-            )
-            for key, coeff in part.items():
-                _big_add(out, key, coeff)
+            part = x_derivative(xi_derivative(big, tail * d + alpha), head * d + alpha)
+            for key, coeff in part._terms.items():
+                out._add(key, coeff)
     return out
 
 
-def _diagonal(
-    terms: dict[BigTerm, Fraction], copies: int, d: int
-) -> Multivector:
+def _diagonal(big: Multivector, copies: int, d: int) -> Multivector:
     out = Multivector(d)
-    for (big_x, big_xis), coeff in terms.items():
+    for (big_x, big_xis), coeff in big._terms.items():
         xexp = tuple(
             sum(big_x[copy * d + alpha] for copy in range(copies))
             for alpha in range(d)
@@ -404,56 +344,28 @@ def _evaluate_ordered(
 ) -> Multivector:
     """Edge-operator product with placed_args[i] sitting at vertex i+1."""
     n = graph.vertex_count
-    terms: dict[BigTerm, Fraction] = {((0,) * (n * d), ()): Fraction(1)}
+    big = _constant(n * d, Fraction(1))
     for vertex, mv in enumerate(placed_args):
-        terms = _big_product(terms, _placed(mv, vertex, n))
-        if not terms:
-            return Multivector(d)
+        big = multivector_product(big, _placed(mv, vertex, n))
     for u, v in graph.edges:
-        terms = _edge_operator(terms, u - 1, v - 1, d)
-        if not terms:
-            return Multivector(d)
-    return _diagonal(terms, n, d)
+        big = _edge_operator(big, u - 1, v - 1, d)
+    return _diagonal(big, n, d)
 
 
 # ---------------------------------------------------------------------------
 # Direct evaluation of oriented-graph sums against a bivector.
 
 
-def _bivector_components(p: Multivector) -> dict[tuple[int, int], dict[XExp, Fraction]]:
-    """Antisymmetric component polynomials of a bivector, by index pair."""
-    components: dict[tuple[int, int], dict[XExp, Fraction]] = {}
+def _bivector_components(p: Multivector) -> dict[tuple[int, int], Multivector]:
+    """Antisymmetric component 0-forms of a bivector, by index pair."""
+    components: dict[tuple[int, int], Multivector] = {}
     for (xexp, xis), coeff in p._terms.items():
         if len(xis) != 2:
             raise MultivectorError("bivector required")
         i, j = xis
-        components.setdefault((i, j), {})[xexp] = coeff
-        components.setdefault((j, i), {})[xexp] = -coeff
+        components.setdefault((i, j), Multivector(p.dimension))._add((xexp, ()), coeff)
+        components.setdefault((j, i), Multivector(p.dimension))._add((xexp, ()), -coeff)
     return components
-
-
-def _poly_derivative(poly: dict[XExp, Fraction], index: int) -> dict[XExp, Fraction]:
-    out: dict[XExp, Fraction] = {}
-    for xexp, coeff in poly.items():
-        if xexp[index]:
-            lowered = xexp[:index] + (xexp[index] - 1,) + xexp[index + 1:]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * xexp[index]
-    return out
-
-
-def _poly_product(
-    left: dict[XExp, Fraction], right: dict[XExp, Fraction]
-) -> dict[XExp, Fraction]:
-    out: dict[XExp, Fraction] = {}
-    for xa, ca in left.items():
-        for xb, cb in right.items():
-            key = tuple(a + b for a, b in zip(xa, xb))
-            value = out.get(key, Fraction(0)) + ca * cb
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-    return out
 
 
 def _evaluate_single_orgraph(
@@ -464,6 +376,7 @@ def _evaluate_single_orgraph(
     n = g.internal_count
     pairs = list(components)
     out = Multivector(d)
+    one = _constant(d, Fraction(1))
 
     def recurse(vertex: int, chosen: list[tuple[int, int]]) -> None:
         if vertex == n:
@@ -486,17 +399,17 @@ def _evaluate_single_orgraph(
                     sink_indices[target] = alpha
                 else:
                     in_indices[target - s].append(alpha)
-        value: dict[XExp, Fraction] = {(0,) * d: Fraction(1)}
+        value = one
         for i in range(n):
             factor = components[chosen[i]]
             for alpha in in_indices[i]:
-                factor = _poly_derivative(factor, alpha)
+                factor = x_derivative(factor, alpha)
                 if not factor:
                     return
-            value = _poly_product(value, factor)
+            value = multivector_product(value, factor)
             if not value:
                 return
-        for xexp, coeff in value.items():
+        for (xexp, _), coeff in value._terms.items():
             out.add_term(xexp, tuple(sink_indices), coeff)
 
     recurse(0, [])
@@ -729,7 +642,11 @@ class _ExpressionParser:
         token = self.take()
         kind, text, column = token
         if kind == "number":
-            return _constant(self.dimension, Fraction(text))
+            try:
+                value = Fraction(text)
+            except ZeroDivisionError:
+                raise self.fail(f"zero denominator in {text!r}", column) from None
+            return _constant(self.dimension, value)
         if kind == "x":
             index = int(text[1:])
             if not 1 <= index <= self.dimension:

@@ -184,10 +184,10 @@ class TestOrient:
         code, out, _ = cli("orient", str(data_dir / "path3.g"))
         assert (code, out) == (0, "")
 
-    def test_jobs_flag_never_changes_bytes(self, cli, tetra_file):
-        baseline = cli("orient", "--reduce", tetra_file)
-        for jobs in ("1", "2", "8"):
-            assert cli("orient", "--reduce", "--jobs", jobs, tetra_file) == baseline
+    def test_jobs_flag_is_a_usage_error(self, cli, tetra_file):
+        code, out, err = cli("orient", "--jobs", "2", tetra_file)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --jobs" in err
 
     def test_output_is_deterministic(self, cli, data_dir):
         wheel = str(data_dir / "wheel5.g")
@@ -267,6 +267,13 @@ class TestEvalAndSchouten:
         so3 = str(data_dir / "so3.poisson")
         code, out, _ = cli("schouten", so3, so3)
         assert (code, out) == (0, "dim 3\n")
+
+    def test_zero_denominator_is_an_input_error(self, cli, tmp_path):
+        path = tmp_path / "bad.poisson"
+        path.write_text("dim 2\n2/0*xi1*xi2\n")
+        code, out, err = cli("schouten", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: zero denominator in '2/0' at column 1\n"
 
     def test_schouten_dimension_mismatch(self, cli, data_dir):
         code, _, err = cli(

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gckit import (
     GraphSum,
@@ -76,6 +78,78 @@ class TestMultivector:
         parts = dict(p.components())
         assert set(parts) == {0, 2}
         assert parts[0] == mv("x1", 2)
+
+
+COEFFICIENTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def multivectors(draw, d: int, degree: int | None = None) -> Multivector:
+    """At most 4 terms, exponents <= 2, xi-degree <= 2, small coefficients.
+
+    Odd factors are drawn unsorted, so add_term's normal ordering is exercised.
+    """
+    out = Multivector(d)
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, min(2, d))) if degree is None else degree
+        xexp = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+        xis = draw(st.permutations(range(d)))[:k]
+        out.add_term(xexp, xis, draw(COEFFICIENTS))
+    return out
+
+
+def assert_normal_ordered(m: Multivector) -> None:
+    d = m.dimension
+    for (xexp, xis), coeff in m.items():
+        assert coeff
+        assert len(xexp) == d
+        assert all(e >= 0 for e in xexp)
+        assert all(0 <= i < d for i in xis)
+        assert all(a < b for a, b in zip(xis, xis[1:]))
+
+
+class TestKernelProperties:
+    """Properties of the one sparse polynomial kernel on random operands."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_results_stay_normal_ordered(self, data):
+        d = data.draw(st.integers(1, 3))
+        f, g = data.draw(multivectors(d)), data.draw(multivectors(d))
+        index = data.draw(st.integers(0, d - 1))
+        for result in (
+            multivector_product(f, g),
+            xi_derivative(f, index),
+            x_derivative(f, index),
+            f + g,
+            f - g,
+        ):
+            assert_normal_ordered(result)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_graded_leibniz_rules(self, data):
+        d = data.draw(st.integers(1, 3))
+        kf = data.draw(st.integers(0, min(2, d)))
+        f = data.draw(multivectors(d, kf))
+        g = data.draw(multivectors(d))
+        index = data.draw(st.integers(0, d - 1))
+        fg = multivector_product(f, g)
+        assert x_derivative(fg, index) == multivector_product(
+            x_derivative(f, index), g
+        ) + multivector_product(f, x_derivative(g, index))
+        assert xi_derivative(fg, index) == multivector_product(
+            xi_derivative(f, index), g
+        ) + (-1) ** kf * multivector_product(f, xi_derivative(g, index))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_is_associative(self, data):
+        d = data.draw(st.integers(1, 3))
+        f, g, h = (data.draw(multivectors(d)) for _ in range(3))
+        assert multivector_product(multivector_product(f, g), h) == (
+            multivector_product(f, multivector_product(g, h))
+        )
 
 
 class TestSchouten:
@@ -281,6 +355,8 @@ class TestMultivectorTextFormat:
             mv("2**3", 2)
         with pytest.raises(ParseError, match="unexpected end of expression"):
             mv("x1*", 2)
+        with pytest.raises(ParseError, match="zero denominator in '2/0' at column 4"):
+            mv("x1*2/0*xi1", 2)
 
     def test_file_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="empty input"):
