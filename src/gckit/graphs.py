@@ -7,14 +7,23 @@ smallest sorted-edge-list encoding over all vertex relabelings, reports the
 parity sign connecting the input presentation to that encoding, and flags
 *zero graphs* -- graphs equal to minus themselves because some automorphism
 permutes their edges oddly.
+
+Graphs and orgraphs share one search for the least encoding,
+:func:`_minimal_labelings`, which reads an encoding as one row per label.
+The unlabeled vertices form an ordered partition into cells that no earlier
+row tells apart.  The next label goes to each member of the first cell in
+turn; its neighbours take the lowest labels of every cell, as any other
+choice gives a larger row, and each cell splits into neighbours, then the
+rest.  Only members with the least row recurse, and a branch stops once its
+rows exceed the best found, so every least labeling and parity is found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Edge",
@@ -136,10 +145,70 @@ def edge_permutation_sign(perm: Sequence) -> int:
     return -1 if inversion_count(values) % 2 else 1
 
 
-def _relative_sign(src: Sequence, dst: Sequence) -> int:
-    """Parity sign of the rearrangement taking ``src`` to ``dst``."""
-    index = {item: i for i, item in enumerate(dst)}
-    return edge_permutation_sign([index[item] for item in src])
+def _minimal_labelings(
+    neighbours: dict[int, set[int]], row: Callable[[int, dict[int, int]], tuple]
+) -> list[dict[int, int]]:
+    """Every labeling of the keys of ``neighbours`` by 0, 1, ... with least rows.
+
+    ``labeling[v]`` is the label of ``v``.  ``row(v, labeling)`` reads only
+    the labels of ``v`` and its ``neighbours``, and must not fall when a
+    neighbour labeled after ``v`` takes a larger label.
+    """
+    label = dict.fromkeys(neighbours, 0)
+    best: list[tuple] = []
+    found: list[dict[int, int]] = []
+
+    def search(cells: list[list[int]], depth: int) -> None:
+        if not cells:
+            found.append(label.copy())
+            return
+        branches = []
+        for v in cells[0]:
+            refined = []
+            for cell in ([u for u in cells[0] if u != v], *cells[1:]):
+                inner = [u for u in cell if u in neighbours[v]]
+                outer = [u for u in cell if u not in neighbours[v]]
+                refined.extend(part for part in (inner, outer) if part)
+            for lab, u in enumerate(chain([v], *refined), depth):
+                label[u] = lab
+            branches.append((row(v, label), v, refined))
+        least = min(r for r, _, _ in branches)
+        if depth == len(best) or least < best[depth]:
+            del best[depth:]
+            best.append(least)
+            found.clear()
+        elif least > best[depth]:
+            return
+        for r, v, refined in branches:
+            if r == least:
+                label[v] = depth
+                search(refined, depth + 1)
+
+    search([list(neighbours)], 0)
+    return found
+
+
+def _graph_labelings(
+    edges: Sequence[Edge], vertices: Iterable[int]
+) -> list[tuple[dict[int, int], list[Edge]]]:
+    """Least labelings of ``vertices``, each with ``edges`` relabeled from 1.
+
+    A row lists the higher neighbours' labels and a terminator above every
+    label, so that a longer row sorts first, as in a sorted edge list.
+    """
+    neighbours: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+
+    def row(v: int, label: dict[int, int]) -> tuple:
+        higher = (label[u] for u in neighbours[v] if label[u] > label[v])
+        return tuple(sorted(higher)) + (len(neighbours),)
+
+    return [
+        (label, [tuple(sorted((label[u] + 1, label[v] + 1))) for u, v in edges])
+        for label in _minimal_labelings(neighbours, row)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -150,52 +219,16 @@ def _canonical_core(
 
     Returns ``(canonical_edges, sign, is_zero)`` where ``sign`` is the edge
     permutation parity from the reference presentation to the canonical one.
-
-    In a lexicographically minimal sorted edge list the vertex labeled 1 must
-    have maximal degree and its neighbours must receive labels
-    ``2..deg+1`` (otherwise some prefix entry could be lowered), so only
-    relabelings of that form are enumerated.
+    Isolated vertices take the last labels in every least labeling and move
+    no edge, so only the vertices that carry an edge are searched.
     """
-    n = vertex_count
     if not ref_edges:
         return ref_edges, 1, False
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
-    for u, v in ref_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    degs = [len(adj[v]) for v in range(n + 1)]
-    dmax = max(degs[1:])
-
-    best_enc: list[Edge] | None = None
-    best_signs: set[int] = set()
-    for center in range(1, n + 1):
-        if degs[center] != dmax:
-            continue
-        nbrs = sorted(adj[center])
-        rest = [v for v in range(1, n + 1) if v != center and v not in adj[center]]
-        base = 2 + len(nbrs)
-        for nperm in permutations(nbrs):
-            for rperm in permutations(rest):
-                label = [0] * (n + 1)
-                label[center] = 1
-                for i, v in enumerate(nperm):
-                    label[v] = 2 + i
-                for i, v in enumerate(rperm):
-                    label[v] = base + i
-                relabeled = []
-                for u, v in ref_edges:
-                    a, b = label[u], label[v]
-                    relabeled.append((a, b) if a < b else (b, a))
-                enc = sorted(relabeled)
-                if best_enc is None or enc < best_enc:
-                    best_enc = enc
-                    best_signs = {_relative_sign(relabeled, enc)}
-                elif enc == best_enc:
-                    best_signs.add(_relative_sign(relabeled, enc))
-    assert best_enc is not None
-    is_zero = len(best_signs) == 2
-    sign = 1 if is_zero else best_signs.pop()
-    return tuple(best_enc), sign, is_zero
+    found = _graph_labelings(ref_edges, sorted({v for edge in ref_edges for v in edge}))
+    signs = {edge_permutation_sign(relabeled) for _, relabeled in found}
+    is_zero = len(signs) == 2
+    sign = 1 if is_zero else signs.pop()
+    return tuple(sorted(found[0][1])), sign, is_zero
 
 
 def canonicalize(g: UnorientedGraph) -> SignedCanonicalGraph:
@@ -207,50 +240,26 @@ def canonicalize(g: UnorientedGraph) -> SignedCanonicalGraph:
     """
     ref = tuple(sorted(g.edges))
     enc, core_sign, is_zero = _canonical_core(g.vertex_count, ref)
-    sign = 1 if is_zero else core_sign * _relative_sign(g.edges, ref)
+    sign = 1 if is_zero else core_sign * edge_permutation_sign(g.edges)
     return SignedCanonicalGraph(UnorientedGraph(g.vertex_count, enc), sign, is_zero)
 
 
 def automorphisms(g: UnorientedGraph) -> list[tuple[tuple[int, ...], int]]:
-    """All vertex permutations preserving the edge set, with induced edge parity.
+    """All vertex bijections that preserve the edge set, with induced edge parity.
 
     Each element is ``(images, sign)`` where ``images[i]`` is the image of
     vertex ``i+1`` and ``sign`` is the parity of the permutation the map
-    induces on the edge list.
+    induces on the edge list; the list is sorted by ``images``.  Each map
+    takes the first least labeling to another; its sign is their parities' product.
     """
-    n = g.vertex_count
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    degs = [len(adj[v]) for v in range(n + 1)]
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-
-    result: list[tuple[tuple[int, ...], int]] = []
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-
-    def extend(v: int) -> None:
-        if v > n:
-            perm = []
-            for a, b in g.edges:
-                ia, ib = image[a], image[b]
-                perm.append(edge_index[(ia, ib) if ia < ib else (ib, ia)])
-            result.append((tuple(image[1:]), edge_permutation_sign(perm)))
-            return
-        for w in range(1, n + 1):
-            if used[w] or degs[w] != degs[v]:
-                continue
-            if any((u in adj[v]) != (image[u] in adj[w]) for u in range(1, v)):
-                continue
-            used[w] = True
-            image[v] = w
-            extend(v + 1)
-            used[w] = False
-        image[v] = 0
-
-    extend(1)
-    return result
+    found = _graph_labelings(g.edges, range(1, g.vertex_count + 1))
+    signs = [edge_permutation_sign(relabeled) for _, relabeled in found]
+    result = []
+    for (label, _), sign in zip(found, signs):
+        vertex_of = {lab: v for v, lab in label.items()}
+        images = tuple(vertex_of[found[0][0][v]] for v in label)
+        result.append((images, sign * signs[0]))
+    return sorted(result)
 
 
 def is_connected(g: UnorientedGraph) -> bool:

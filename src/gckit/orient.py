@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
+from .graphs import _minimal_labelings
 from .complexes import GraphSum
 
 __all__ = [
@@ -163,7 +164,7 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     sign-free (each pair is two consecutive entries of the edge wedge);
     presenting a pair in swapped order costs one sign.  The orgraph is zero
     when a pair repeats a target, or when two relabelings reach the minimal
-    encoding with opposite swap parities.
+    encoding with opposite swap signs, found by :func:`gckit.graphs._minimal_labelings`.
     """
     key = (g.sink_count, g.targets)
     cached = _NORMALIZE_CACHE.get(key)
@@ -181,34 +182,24 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
         _NORMALIZE_CACHE[key] = result
         return result
 
-    best_flat: tuple[int, ...] | None = None
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    best_signs: set[int] = set()
-    best_order: tuple[int, ...] = ()
-    for label_of in permutations(range(n)):
-        new_pairs: list[tuple[int, int]] = [(0, 0)] * n
-        swaps = 0
-        for i, (a, b) in enumerate(g.targets):
-            na = a if a < s else s + label_of[a - s]
-            nb = b if b < s else s + label_of[b - s]
-            if na > nb:
-                na, nb = nb, na
-                swaps += 1
-            new_pairs[label_of[i]] = (na, nb)
-        flat = tuple(t for pair in new_pairs for t in pair)
-        if best_flat is None or flat < best_flat:
-            best_flat = flat
-            best_pairs = tuple(new_pairs)
-            best_signs = {-1 if swaps % 2 else 1}
-            inverse = [0] * n
-            for i, lab in enumerate(label_of):
-                inverse[lab] = i
-            best_order = tuple(inverse)
-        elif flat == best_flat:
-            best_signs.add(-1 if swaps % 2 else 1)
+    def mapped(v: int, label: dict[int, int]) -> list[int]:
+        return [t if t < s else s + label[t - s] for t in g.targets[v]]
+
+    def row(v: int, label: dict[int, int]) -> tuple[int, ...]:
+        return tuple(sorted(mapped(v, label)))
+
+    neighbours = {v: {t - s for t in g.targets[v] if t >= s} for v in range(n)}
+    labelings = _minimal_labelings(neighbours, row)
+    best_signs = {
+        -1 if sum(a > b for a, b in (mapped(v, label) for v in range(n))) % 2 else 1
+        for label in labelings
+    }
+    label_of = min(labelings, key=lambda label: [label[v] for v in range(n)])
+    best_order = sorted(range(n), key=label_of.__getitem__)
+    best_pairs = tuple(row(v, label_of) for v in best_order)
     is_zero = len(best_signs) == 2
     sign = 1 if is_zero else best_signs.pop()
-    result = NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, best_order)
+    result = NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, tuple(best_order))
     _NORMALIZE_CACHE[key] = result
     return result
 

@@ -129,6 +129,12 @@ class TestCanonicalize:
         assert sc.canonical.edges == ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
         assert sc.sign == 1
 
+    def test_isolated_vertices_are_not_searched(self):
+        sc = canonicalize(new_graph(12, [(5, 9)]))
+        assert sc.canonical.edges == ((1, 2),)
+        assert sc.sign == 1
+        assert not sc.is_zero
+
     def test_relabeling_preserves_canonical_form(self, tetra):
         image = {1: 4, 2: 3, 3: 1, 4: 2}
         sc = canonicalize(relabel(tetra, image))
