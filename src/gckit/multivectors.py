@@ -2,8 +2,10 @@
 
 A multivector field is a polynomial in even coordinates ``x1..xd`` and
 anticommuting fibre coordinates ``xi1..xid``.  Terms are stored normal
-ordered (strictly increasing xi indices) with exact rational coefficients;
-reordering odd factors introduces the usual sign per swap.
+ordered (strictly increasing xi indices); reordering odd factors introduces
+the usual sign per swap.  Coefficients are exact: a plain ``int`` when
+integral and a ``Fraction`` otherwise, so integer inputs never pay for
+rational arithmetic.
 
 The module provides the Schouten bracket, the algebraic orientation
 evaluator (a product of edge operators acting on multivectors placed at
@@ -63,6 +65,14 @@ def _normal_order(xis: Sequence[int]) -> tuple[XiSet, int] | None:
     return tuple(sorted(xis)), sign
 
 
+def _exact(value: int | Fraction) -> int | Fraction:
+    """An exact scalar, as an ``int`` when it is integral."""
+    if value.__class__ is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Multivector:
     """A polynomial multivector field on R^d with exact coefficients."""
 
@@ -71,18 +81,18 @@ class Multivector:
     def __init__(
         self,
         dimension: int,
-        terms: Mapping[TermKey, Fraction] | None = None,
+        terms: Mapping[TermKey, int | Fraction] | None = None,
     ) -> None:
         if dimension < 1:
             raise MultivectorError("dimension must be positive")
         self.dimension = dimension
-        self._terms: dict[TermKey, Fraction] = {}
+        self._terms: dict[TermKey, int | Fraction] = {}
         if terms:
             for (xexp, xis), coeff in terms.items():
                 self.add_term(xexp, xis, coeff)
 
     def add_term(
-        self, xexp: Sequence[int], xis: Sequence[int], coeff: Fraction
+        self, xexp: Sequence[int], xis: Sequence[int], coeff: int | Fraction
     ) -> None:
         """Accumulate one term, normal-ordering the odd factors."""
         if len(xexp) != self.dimension:
@@ -96,22 +106,25 @@ class Multivector:
             return
         self._add((tuple(xexp), ordered[0]), coeff * ordered[1])
 
-    def _add(self, key: TermKey, coeff: Fraction) -> None:
+    def _add(self, key: TermKey, coeff: int | Fraction) -> None:
         """Accumulate one term whose key is already valid and normal ordered."""
-        value = self._terms.get(key, Fraction(0)) + coeff
+        value = self._terms.get(key, 0) + coeff
         if value:
-            self._terms[key] = value
+            self._terms[key] = _exact(value)
         else:
             self._terms.pop(key, None)
 
-    def items(self) -> list[tuple[TermKey, Fraction]]:
+    def items(self) -> list[tuple[TermKey, int | Fraction]]:
         return sorted(self._terms.items())
 
-    def coefficient(self, xexp: Sequence[int], xis: Sequence[int]) -> Fraction:
+    def coefficient(
+        self, xexp: Sequence[int], xis: Sequence[int]
+    ) -> int | Fraction:
+        """The coefficient of one monomial: an ``int`` when integral."""
         ordered = _normal_order(xis)
         if ordered is None:
-            return Fraction(0)
-        return self._terms.get((tuple(xexp), ordered[0]), Fraction(0)) * ordered[1]
+            return 0
+        return self._terms.get((tuple(xexp), ordered[0]), 0) * ordered[1]
 
     def xi_degrees(self) -> set[int]:
         return {len(xis) for _, xis in self._terms}
@@ -157,14 +170,14 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return self * Fraction(-1)
+        return self * -1
 
     def __mul__(self, scalar: Fraction | int) -> "Multivector":
-        factor = Fraction(scalar)
+        factor = _exact(scalar)
         out = Multivector(self.dimension)
         if factor:
             for key, coeff in self._terms.items():
-                out._terms[key] = coeff * factor
+                out._terms[key] = _exact(coeff * factor)
         return out
 
     __rmul__ = __mul__
@@ -223,7 +236,7 @@ def schouten(f: Multivector, g: Multivector) -> Multivector:
         raise MultivectorError("dimension mismatch")
     out = Multivector(f.dimension)
     for degree, part in f.components():
-        lead = Fraction(-1 if (degree - 1) % 2 else 1)
+        lead = -1 if (degree - 1) % 2 else 1
         for alpha in range(f.dimension):
             out += lead * multivector_product(
                 xi_derivative(part, alpha), x_derivative(g, alpha)
@@ -267,13 +280,29 @@ def _placed(mv: Multivector, copy: int, copies: int) -> Multivector:
 
 
 def _edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
-    """Apply one edge operator coupling vertex copies u and v (0-based)."""
+    """Apply one edge operator coupling vertex copies u and v (0-based).
+
+    It is the sum over alpha of d/dx(head, alpha) d/dxi(tail, alpha) for
+    (tail, head) = (u, v) and (v, u), taken in one pass over the terms: each
+    odd generator of copy u or v is removed with the sign of its position,
+    and the matching even generator of the other copy is differentiated.
+    """
     out = Multivector(big.dimension)
-    for alpha in range(d):
-        for tail, head in ((u, v), (v, u)):
-            part = x_derivative(xi_derivative(big, tail * d + alpha), head * d + alpha)
-            for key, coeff in part._terms.items():
-                out._add(key, coeff)
+    for (xexp, xis), coeff in big._terms.items():
+        for pos, odd in enumerate(xis):
+            copy, alpha = divmod(odd, d)
+            if copy == u:
+                even = v * d + alpha
+            elif copy == v:
+                even = u * d + alpha
+            else:
+                continue
+            power = xexp[even]
+            if not power:
+                continue
+            lowered = xexp[:even] + (power - 1,) + xexp[even + 1:]
+            value = coeff * power
+            out._add((lowered, xis[:pos] + xis[pos + 1:]), -value if pos % 2 else value)
     return out
 
 
@@ -344,7 +373,7 @@ def _evaluate_ordered(
 ) -> Multivector:
     """Edge-operator product with placed_args[i] sitting at vertex i+1."""
     n = graph.vertex_count
-    big = _constant(n * d, Fraction(1))
+    big = _constant(n * d, 1)
     for vertex, mv in enumerate(placed_args):
         big = multivector_product(big, _placed(mv, vertex, n))
     for u, v in graph.edges:
@@ -369,50 +398,72 @@ def _bivector_components(p: Multivector) -> dict[tuple[int, int], Multivector]:
 
 
 def _evaluate_single_orgraph(
-    g: Orgraph, p: Multivector, components
+    g: Orgraph,
+    p: Multivector,
+    components: Mapping[tuple[int, int], Multivector],
+    factors: dict[tuple, Multivector],
 ) -> Multivector:
+    """Contract one orgraph vertex by vertex.
+
+    Internal vertices choose their index pair in order.  A vertex's factor is
+    its component differentiated by the indices on its in-arrows, so it is
+    multiplied into the partial product as soon as the vertex and all of its
+    sources have chosen, and a zero factor or product ends the branch.
+    ``factors`` memoizes the factors by pair and derivative indices.  A
+    sink's odd factor is the index on the last arrow into it (index 0 when
+    none arrives); once all of them are chosen, a repeated sink index ends
+    the branch too.
+    """
     d = p.dimension
     s = g.sink_count
     n = g.internal_count
     pairs = list(components)
+    sources: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    sink_arrow: list[tuple[int, int] | None] = [None] * s
+    for i, arrows in enumerate(g.targets):
+        for slot, target in enumerate(arrows):
+            if target < s:
+                sink_arrow[target] = (i, slot)
+            else:
+                sources[target - s].append((i, slot))
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for k in range(n):
+        ready[max([k] + [i for i, _ in sources[k]])].append(k)
+    sinks_known = max([arrow[0] for arrow in sink_arrow if arrow] + [0])
+    chosen: list[tuple[int, int]] = [(0, 0)] * n
     out = Multivector(d)
-    one = _constant(d, Fraction(1))
 
-    def recurse(vertex: int, chosen: list[tuple[int, int]]) -> None:
+    def sink_indices() -> tuple[int, ...]:
+        return tuple(chosen[arrow[0]][arrow[1]] if arrow else 0 for arrow in sink_arrow)
+
+    def recurse(vertex: int, value: Multivector) -> None:
         if vertex == n:
-            finish(chosen)
+            indices = sink_indices()
+            for (xexp, _), coeff in value._terms.items():
+                out.add_term(xexp, indices, coeff)
             return
         for pair in pairs:
-            chosen.append(pair)
-            recurse(vertex + 1, chosen)
-            chosen.pop()
+            chosen[vertex] = pair
+            if vertex == sinks_known and len(set(sink_indices())) < s:
+                continue
+            product = value
+            for k in ready[vertex]:
+                alphas = [chosen[i][slot] for i, slot in sources[k]]
+                alphas.sort()
+                key = (chosen[k], *alphas)
+                factor = factors.get(key)
+                if factor is None:
+                    factor = components[chosen[k]]
+                    for alpha in alphas:
+                        factor = x_derivative(factor, alpha)
+                    factors[key] = factor
+                product = multivector_product(product, factor) if factor else factor
+                if not product:
+                    break
+            if product:
+                recurse(vertex + 1, product)
 
-    def finish(chosen: list[tuple[int, int]]) -> None:
-        # index carried by each arrow: position 2*i (left) and 2*i+1 (right)
-        sink_indices = [0] * s
-        in_indices: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            left, right = g.targets[i]
-            for slot, target in ((0, left), (1, right)):
-                alpha = chosen[i][slot]
-                if target < s:
-                    sink_indices[target] = alpha
-                else:
-                    in_indices[target - s].append(alpha)
-        value = one
-        for i in range(n):
-            factor = components[chosen[i]]
-            for alpha in in_indices[i]:
-                factor = x_derivative(factor, alpha)
-                if not factor:
-                    return
-            value = multivector_product(value, factor)
-            if not value:
-                return
-        for (xexp, _), coeff in value._terms.items():
-            out.add_term(xexp, tuple(sink_indices), coeff)
-
-    recurse(0, [])
+    recurse(0, _constant(d, 1))
     return out * Fraction(1, math.factorial(s))
 
 
@@ -428,9 +479,10 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     components = _bivector_components(p)
     if isinstance(source, Orgraph):
         source = OrgraphSum([(source, Fraction(1))])
+    factors: dict[tuple, Multivector] = {}
     total = Multivector(p.dimension)
     for g, coeff in source.items():
-        total += coeff * _evaluate_single_orgraph(g, p, components)
+        total += coeff * _evaluate_single_orgraph(g, p, components, factors)
     return total
 
 
@@ -472,6 +524,8 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
     bivector with the evaluated flow, minus the flow re-evaluated with the
     bivector's self-bracket substituted once into each argument slot.
     """
+    if not is_bivector(p):
+        raise MultivectorError("bivector required")
     gamma = _as_graph_sum(gamma)
     if not gamma:
         raise MultivectorError("empty graph sum")
@@ -537,6 +591,9 @@ def flow_commutator_check(
 # ---------------------------------------------------------------------------
 # Text format: expressions in x1..xd, xi1..xid with rational coefficients.
 
+
+# The largest exponent the parser expands; ``x1^e`` costs e multiplications.
+_MAX_EXPONENT = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<xi>xi\d+)|(?P<x>x\d+)"
@@ -632,8 +689,13 @@ class _ExpressionParser:
         exponent_token = self.take()
         if exponent_token[0] != "number" or "/" in exponent_token[1]:
             raise self.fail("integer exponent expected", exponent_token[2])
-        exponent = int(exponent_token[1])
-        value = _constant(self.dimension, Fraction(1))
+        digits = exponent_token[1].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            raise self.fail(
+                f"exponent above the maximum {_MAX_EXPONENT}", exponent_token[2]
+            )
+        exponent = int(digits)
+        value = _constant(self.dimension, 1)
         for _ in range(exponent):
             value = multivector_product(value, base)
         return value
@@ -643,7 +705,7 @@ class _ExpressionParser:
         kind, text, column = token
         if kind == "number":
             try:
-                value = Fraction(text)
+                value = _exact(Fraction(text))
             except ZeroDivisionError:
                 raise self.fail(f"zero denominator in {text!r}", column) from None
             return _constant(self.dimension, value)
@@ -653,14 +715,14 @@ class _ExpressionParser:
                 raise self.fail(f"x index {index} out of range", column)
             xexp = tuple(1 if k == index - 1 else 0 for k in range(self.dimension))
             out = Multivector(self.dimension)
-            out.add_term(xexp, (), Fraction(1))
+            out.add_term(xexp, (), 1)
             return out
         if kind == "xi":
             index = int(text[2:])
             if not 1 <= index <= self.dimension:
                 raise self.fail(f"xi index {index} out of range", column)
             out = Multivector(self.dimension)
-            out.add_term((0,) * self.dimension, (index - 1,), Fraction(1))
+            out.add_term((0,) * self.dimension, (index - 1,), 1)
             return out
         if kind == "op" and text == "(":
             value = self.expression()
@@ -673,7 +735,7 @@ class _ExpressionParser:
         raise self.fail(f"unexpected {text!r}", column)
 
 
-def _constant(dimension: int, value: Fraction) -> Multivector:
+def _constant(dimension: int, value: int | Fraction) -> Multivector:
     out = Multivector(dimension)
     out.add_term((0,) * dimension, (), value)
     return out
@@ -707,7 +769,7 @@ def parse_poisson(text: str) -> Multivector:
     return total
 
 
-def _format_term(xexp: XExp, xis: XiSet, coeff: Fraction) -> str:
+def _format_term(xexp: XExp, xis: XiSet, coeff: int | Fraction) -> str:
     factors: list[str] = []
     for index, exponent in enumerate(xexp):
         if exponent == 1:

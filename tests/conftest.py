@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gckit import Multivector, UnorientedGraph, new_graph, parse_poisson
+from gckit import GraphSum, Multivector, UnorientedGraph, cocycle_kernel, new_graph, parse_poisson
 from gckit.cli import main as cli_main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -52,6 +52,13 @@ def companion5() -> UnorientedGraph:
         [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
          (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)],
     )
+
+
+@pytest.fixture(scope="session")
+def pentagon_cocycle() -> GraphSum:
+    """The pentagon-wheel cocycle: the one basis vector of the (6,10) kernel."""
+    (basis,) = cocycle_kernel(6, 10)
+    return basis
 
 
 def _load_poisson(name: str) -> Multivector:

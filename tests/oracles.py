@@ -1,19 +1,33 @@
-"""Brute-force reference implementations of the canonical-labeling searches.
+"""Brute-force reference implementations that the fast paths replaced.
 
-These are the exhaustive searches that ``gckit`` used before the
-individualize-and-refine search of ``gckit.graphs._minimal_labelings``:
-each tries every relabeling of the form it allows and keeps the
-lexicographically least encoding with the set of parities that reach it.
-They are kept unchanged, apart from caching, so the tests can compare the
-fast search with them on random inputs.
+The canonical-labeling searches are the exhaustive ones that ``gckit`` used
+before the individualize-and-refine search of
+``gckit.graphs._minimal_labelings``: each tries every relabeling of the form
+it allows and keeps the lexicographically least encoding with the set of
+parities that reach it.  They are kept unchanged, apart from caching.
+
+The flow kernels are the two-pass edge operator and the direct evaluator
+that enumerates every tuple of index pairs before it prunes, both kept
+unchanged from ``gckit.multivectors``.
+
+The tests compare the fast code with these on random inputs.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
 from gckit.graphs import Edge, SignedCanonicalGraph, UnorientedGraph, edge_permutation_sign
+from gckit.multivectors import (
+    Multivector,
+    _constant,
+    multivector_product,
+    x_derivative,
+    xi_derivative,
+)
 from gckit.orient import NormalizedOrgraph, Orgraph
 
 
@@ -158,3 +172,62 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     is_zero = len(best_signs) == 2
     sign = 1 if is_zero else best_signs.pop()
     return NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, best_order)
+
+
+def edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
+    """Apply one edge operator coupling vertex copies u and v (0-based)."""
+    out = Multivector(big.dimension)
+    for alpha in range(d):
+        for tail, head in ((u, v), (v, u)):
+            part = x_derivative(xi_derivative(big, tail * d + alpha), head * d + alpha)
+            for key, coeff in part._terms.items():
+                out._add(key, coeff)
+    return out
+
+
+def evaluate_single_orgraph(
+    g: Orgraph, p: Multivector, components
+) -> Multivector:
+    d = p.dimension
+    s = g.sink_count
+    n = g.internal_count
+    pairs = list(components)
+    out = Multivector(d)
+    one = _constant(d, Fraction(1))
+
+    def recurse(vertex: int, chosen: list[tuple[int, int]]) -> None:
+        if vertex == n:
+            finish(chosen)
+            return
+        for pair in pairs:
+            chosen.append(pair)
+            recurse(vertex + 1, chosen)
+            chosen.pop()
+
+    def finish(chosen: list[tuple[int, int]]) -> None:
+        # index carried by each arrow: position 2*i (left) and 2*i+1 (right)
+        sink_indices = [0] * s
+        in_indices: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            left, right = g.targets[i]
+            for slot, target in ((0, left), (1, right)):
+                alpha = chosen[i][slot]
+                if target < s:
+                    sink_indices[target] = alpha
+                else:
+                    in_indices[target - s].append(alpha)
+        value = one
+        for i in range(n):
+            factor = components[chosen[i]]
+            for alpha in in_indices[i]:
+                factor = x_derivative(factor, alpha)
+                if not factor:
+                    return
+            value = multivector_product(value, factor)
+            if not value:
+                return
+        for (xexp, _), coeff in value._terms.items():
+            out.add_term(xexp, tuple(sink_indices), coeff)
+
+    recurse(0, [])
+    return out * Fraction(1, math.factorial(s))

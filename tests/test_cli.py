@@ -258,6 +258,18 @@ class TestEvalAndSchouten:
         code, _, _ = cli("eval", "--poisson", poisson, "--dim", "3", q3_file)
         assert code == 0
 
+    def test_pentagon_wheel_flow_of_poisson_bivector_vanishes(
+        self, cli, tmp_path, data_dir
+    ):
+        cocycle = tmp_path / "gamma5.gs"
+        cocycle.write_text(KERNEL_6_10.split("# basis 1\n")[1])
+        code, flow, _ = cli("orient", str(cocycle))
+        assert code == 0
+        path = tmp_path / "or_gamma5.os"
+        path.write_text(flow)
+        code, out, _ = cli("eval", "--poisson", str(data_dir / "so3.poisson"), str(path))
+        assert (code, out) == (0, "dim 3\n")
+
     def test_schouten_self_bracket(self, cli, data_dir):
         cubic = str(data_dir / "cubic3.poisson")
         code, out, _ = cli("schouten", cubic, cubic)
@@ -299,6 +311,13 @@ class TestVerifyCorollary:
             "--poisson", str(data_dir / "so3.poisson"),
         )
         assert (code, out) == (0, "corollary: yes\n")
+
+    @pytest.mark.parametrize("text", ["x1*xi1*xi2 + x2", "x1*xi1"])
+    def test_rejects_a_non_bivector(self, cli, tmp_path, tetra_file, text):
+        path = tmp_path / "p.poisson"
+        path.write_text(f"dim 2\n{text}\n")
+        code, out, err = cli("verify-corollary", "--graph", tetra_file, "--poisson", str(path))
+        assert (code, out, err) == (2, "", "error: bivector required\n")
 
 
 class TestFold:

@@ -31,6 +31,7 @@ from gckit import (
     x_derivative,
     xi_derivative,
 )
+from gckit.multivectors import _edge_operator
 
 
 def mv(text: str, dim: int) -> Multivector:
@@ -84,17 +85,23 @@ COEFFICIENTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def multivectors(draw, d: int, degree: int | None = None) -> Multivector:
-    """At most 4 terms, exponents <= 2, xi-degree <= 2, small coefficients.
+def multivectors(
+    draw,
+    d: int,
+    degree: int | None = None,
+    coefficients=COEFFICIENTS,
+    max_degree: int = 2,
+) -> Multivector:
+    """At most 4 terms, exponents <= 2, xi-degree <= max_degree, small coefficients.
 
     Odd factors are drawn unsorted, so add_term's normal ordering is exercised.
     """
     out = Multivector(d)
     for _ in range(draw(st.integers(0, 4))):
-        k = draw(st.integers(0, min(2, d))) if degree is None else degree
+        k = draw(st.integers(0, min(max_degree, d))) if degree is None else degree
         xexp = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
         xis = draw(st.permutations(range(d)))[:k]
-        out.add_term(xexp, xis, draw(COEFFICIENTS))
+        out.add_term(xexp, xis, draw(coefficients))
     return out
 
 
@@ -125,6 +132,29 @@ class TestKernelProperties:
             f - g,
         ):
             assert_normal_ordered(result)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_inputs_keep_int_coefficients(self, data):
+        d = data.draw(st.integers(1, 3))
+        integers = st.integers(-3, 3)
+        f = data.draw(multivectors(d, coefficients=integers))
+        g = data.draw(multivectors(d, coefficients=integers))
+        big = data.draw(multivectors(2 * d, coefficients=integers))
+        index = data.draw(st.integers(0, d - 1))
+        half = f * Fraction(1, 2)
+        for result in (
+            multivector_product(f, g),
+            xi_derivative(f, index),
+            x_derivative(f, index),
+            f + g,
+            f - g,
+            -f,
+            Fraction(4, 2) * f,
+            half + half,
+            _edge_operator(big, 0, 1, d),
+        ):
+            assert all(type(coeff) is int for _, coeff in result.items())
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -271,6 +301,18 @@ class TestOrgraphEvaluator:
             algebraic = or_evaluate_algebraic(gamma, [p] * n)
             assert direct == algebraic
 
+    @pytest.mark.parametrize("p_name", ["so3", "cubic3"])
+    def test_two_evaluators_agree_on_the_pentagon_wheel_cocycle(
+        self, p_name, pentagon_cocycle, request
+    ):
+        p = request.getfixturevalue(p_name)
+        direct = evaluate_orgraph(orient(pentagon_cocycle), p)
+        algebraic = Multivector(p.dimension)
+        for graph, coeff in pentagon_cocycle.items():
+            algebraic += coeff * or_evaluate_algebraic(graph, [p] * 6)
+        assert direct == algebraic
+        assert len(direct) == (45 if p_name == "cubic3" else 0)
+
     def test_tetra_flow_on_so3_vanishes(self, tetra, so3):
         assert not evaluate_orgraph(orient(tetra), so3)
 
@@ -317,6 +359,11 @@ class TestIdentities:
         s = GraphSum([(tetra, Fraction(2))])
         assert verify_corollary(s, cubic3)
 
+    def test_corollary_requires_a_bivector(self, tetra):
+        for text in ("x1*xi1*xi2 + x2", "x1*xi1"):
+            with pytest.raises(MultivectorError, match="bivector required"):
+                verify_corollary(tetra, mv(text, 2))
+
     def test_corollary_rejects_empty_sum(self, cubic3):
         with pytest.raises(MultivectorError, match="empty graph sum"):
             verify_corollary(GraphSum(), cubic3)
@@ -357,6 +404,11 @@ class TestMultivectorTextFormat:
             mv("x1*", 2)
         with pytest.raises(ParseError, match="zero denominator in '2/0' at column 4"):
             mv("x1*2/0*xi1", 2)
+        with pytest.raises(ParseError, match="exponent above the maximum 100 at column 8"):
+            mv("xi1*x1^100000000", 2)
+        with pytest.raises(ParseError, match="exponent above the maximum 100 at column 4"):
+            mv("x2^101", 2)
+        assert mv("x2^0100", 2) == multivector_product(mv("x2^50", 2), mv("x2^50", 2))
 
     def test_file_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="empty input"):

@@ -1,20 +1,33 @@
-"""The labeling search against the brute-force searches it replaced.
+"""The fast paths against the brute-force code they replaced.
 
 ``oracles`` keeps the exhaustive canonicalizer, automorphism search and
 orgraph normalizer; hypothesis compares them with the library on random
 graphs (isolated vertices and disconnected graphs included) and random
-orgraphs (repeated targets included).
+orgraphs (repeated targets included).  It also keeps the two-pass edge
+operator and the direct evaluator that enumerates every index tuple, which
+are compared with the one-pass edge operator and the vertex-by-vertex
+evaluator on random multivectors, graphs, orgraphs and bivectors.
 """
 
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gckit.multivectors as mv
 import oracles
-from gckit import automorphisms, canonicalize, new_graph, new_orgraph, normalize_orgraph
+from gckit import (
+    automorphisms,
+    canonicalize,
+    new_graph,
+    new_orgraph,
+    normalize_orgraph,
+    or_evaluate_algebraic,
+)
+from test_multivectors import COEFFICIENTS, multivectors
 
 
 @st.composite
@@ -73,3 +86,62 @@ def test_automorphisms_match_oracle(g):
 def test_normalize_orgraph_matches_oracle(g):
     # NormalizedOrgraph equality compares the vertex order too.
     assert normalize_orgraph(g) == oracles.normalize_orgraph(g)
+
+
+# ---------------------------------------------------------------------------
+# Flow kernels
+
+NON_INTEGRAL = COEFFICIENTS.filter(lambda c: c.denominator > 1)
+
+
+@st.composite
+def flow_orgraphs(draw):
+    """1-2 sinks, at most 4 internal vertices, any targets but self-arrows."""
+    s = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 4))
+    targets = []
+    for i in range(n):
+        others = [t for t in range(s + n) if t != s + i]
+        targets.append((draw(st.sampled_from(others)), draw(st.sampled_from(others))))
+    return new_orgraph(targets, sink_count=s)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_edge_operator_matches_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    copies = data.draw(st.integers(2, 3))
+    big = data.draw(multivectors(copies * d, max_degree=3))
+    u, v = data.draw(st.permutations(range(copies)))[:2]
+    assert mv._edge_operator(big, u, v, d) == oracles.edge_operator(big, u, v, d)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_algebraic_evaluator_matches_oracle_edge_operator(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 3))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = new_graph(n, edges)
+    # At most one argument may have odd components.
+    even = [0, 2] if d > 1 else [0]
+    args = [data.draw(multivectors(d))]
+    args += [data.draw(multivectors(d, data.draw(st.sampled_from(even)))) for _ in range(n - 1)]
+    fast = or_evaluate_algebraic(graph, args)
+    with mock.patch.object(mv, "_edge_operator", oracles.edge_operator):
+        assert fast == or_evaluate_algebraic(graph, args)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_direct_evaluator_matches_oracle(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    p = data.draw(multivectors(d, 2, coefficients=NON_INTEGRAL))
+    components = mv._bivector_components(p)
+    # One factor memo serves both orgraphs, as in an orgraph sum.
+    factors = {}
+    for g in (data.draw(flow_orgraphs()), data.draw(flow_orgraphs())):
+        assert mv._evaluate_single_orgraph(g, p, components, factors) == (
+            oracles.evaluate_single_orgraph(g, p, components)
+        )
