@@ -14,6 +14,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 from .graphs import (
+    Edge,
     GraphError,
     ParseError,
     UnorientedGraph,
@@ -249,30 +250,62 @@ def _primitive(vec: list[Fraction]) -> list[Fraction]:
     return [Fraction(x) for x in ints]
 
 
-def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
-    """All cocycles built from connected graphs of the given bidegree.
+def _edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
+    """One edge tuple per isomorphism class of graphs of the given bidegree.
 
-    Enumerates every connected nonzero graph on ``vertex_count`` vertices
-    with ``edge_count`` edges (one canonical representative each), assembles
-    the differential as an exact rational matrix, and returns a basis of its
-    kernel.  Each basis vector has coprime integer coefficients with the
-    first nonzero coefficient positive.
+    The classes are generated edge by edge from the empty graph: the next
+    level is the set of canonical edge tuples of every graph of the previous
+    level plus one of its non-edges.  Zero and disconnected graphs stay in
+    the levels, because an added edge can make them nonzero or connected.
+    Past half of the ``C(n, 2)`` vertex pairs, the classes with the
+    complementary edge count are generated instead and each is replaced by
+    its complement, since complementing is a bijection on isomorphism
+    classes; those complements are not canonical.
     """
     pairs = list(combinations(range(1, vertex_count + 1), 2))
-    if edge_count > len(pairs) or edge_count < 0:
-        return []
+    if not 0 <= edge_count <= len(pairs):
+        return set()
+    size = min(edge_count, len(pairs) - edge_count)
+    level: set[tuple[Edge, ...]] = {()}
+    for _ in range(size):
+        level = {
+            canonicalize(UnorientedGraph(vertex_count, edges + (e,))).canonical.edges
+            for edges in level
+            for e in pairs
+            if e not in edges
+        }
+    if size < edge_count:
+        level = {tuple(e for e in pairs if e not in edges) for edges in level}
+    return level
+
+
+def _kernel_basis(vertex_count: int, edge_count: int) -> list[UnorientedGraph]:
+    """The connected nonzero canonical graphs of a bidegree, sorted by key."""
     basis: list[UnorientedGraph] = []
-    seen: set[UnorientedGraph] = set()
-    for combo in combinations(pairs, edge_count):
-        g = UnorientedGraph(vertex_count, combo)
+    for edges in _edge_classes(vertex_count, edge_count):
+        g = UnorientedGraph(vertex_count, edges)
         if not is_connected(g):
             continue
         sc = canonicalize(g)
-        if sc.is_zero or sc.canonical in seen:
-            continue
-        seen.add(sc.canonical)
-        basis.append(sc.canonical)
+        if not sc.is_zero:
+            basis.append(sc.canonical)
     basis.sort(key=lambda g: g.sort_key())
+    return basis
+
+
+def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
+    """All cocycles built from connected graphs of the given bidegree.
+
+    Generates one graph per isomorphism class edge by edge, each level from
+    the canonical forms of the previous level plus one edge (past half of
+    the vertex pairs, the complements of the classes with the complementary
+    edge count), keeps the connected nonzero ones by their canonical
+    representatives, assembles the differential as an exact rational
+    matrix, and returns a basis of its kernel.  Each basis vector has
+    coprime integer coefficients with the first nonzero coefficient
+    positive.
+    """
+    basis = _kernel_basis(vertex_count, edge_count)
 
     target_index: dict[UnorientedGraph, int] = {}
     columns: list[dict[int, Fraction]] = []

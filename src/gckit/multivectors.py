@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterator, Mapping, Sequence
@@ -410,31 +411,34 @@ def _evaluate_single_orgraph(
     multiplied into the partial product as soon as the vertex and all of its
     sources have chosen, and a zero factor or product ends the branch.
     ``factors`` memoizes the factors by pair and derivative indices.  A
-    sink's odd factor is the index on the last arrow into it (index 0 when
-    none arrives); once all of them are chosen, a repeated sink index ends
-    the branch too.
+    sink's odd factor is the index on its one arrow; once all of them are
+    chosen, a repeated sink index ends the branch too.  Raises
+    :class:`MultivectorError` unless every sink receives exactly one arrow.
     """
     d = p.dimension
     s = g.sink_count
     n = g.internal_count
     pairs = list(components)
+    arrows = [(i, slot, t) for i, pair in enumerate(g.targets) for slot, t in enumerate(pair)]
+    sink_arrow: list[tuple[int, int]] = []
+    for sink in range(s):
+        into = [(i, slot) for i, slot, t in arrows if t == sink]
+        if len(into) != 1:
+            raise MultivectorError(f"sink {sink} must receive exactly one arrow")
+        sink_arrow.append(into[0])
     sources: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    sink_arrow: list[tuple[int, int] | None] = [None] * s
-    for i, arrows in enumerate(g.targets):
-        for slot, target in enumerate(arrows):
-            if target < s:
-                sink_arrow[target] = (i, slot)
-            else:
-                sources[target - s].append((i, slot))
+    for i, slot, t in arrows:
+        if t >= s:
+            sources[t - s].append((i, slot))
     ready: list[list[int]] = [[] for _ in range(n)]
     for k in range(n):
         ready[max([k] + [i for i, _ in sources[k]])].append(k)
-    sinks_known = max([arrow[0] for arrow in sink_arrow if arrow] + [0])
+    sinks_known = max([i for i, _ in sink_arrow], default=0)
     chosen: list[tuple[int, int]] = [(0, 0)] * n
     out = Multivector(d)
 
     def sink_indices() -> tuple[int, ...]:
-        return tuple(chosen[arrow[0]][arrow[1]] if arrow else 0 for arrow in sink_arrow)
+        return tuple(chosen[i][slot] for i, slot in sink_arrow)
 
     def recurse(vertex: int, value: Multivector) -> None:
         if vertex == n:
@@ -708,6 +712,10 @@ class _ExpressionParser:
                 value = _exact(Fraction(text))
             except ZeroDivisionError:
                 raise self.fail(f"zero denominator in {text!r}", column) from None
+            except ValueError:
+                # Python converts at most sys.get_int_max_str_digits() digits.
+                limit = sys.get_int_max_str_digits()
+                raise self.fail(f"number with more than {limit} digits", column) from None
             return _constant(self.dimension, value)
         if kind == "x":
             index = int(text[1:])

@@ -6,6 +6,10 @@ before the individualize-and-refine search of
 it allows and keeps the lexicographically least encoding with the set of
 parities that reach it.  They are kept unchanged, apart from caching.
 
+The kernel basis is the loop that canonicalized one graph per connected
+subset of ``edge_count`` vertex pairs, kept unchanged from
+``gckit.complexes.cocycle_kernel`` apart from returning the basis.
+
 The flow kernels are the two-pass edge operator and the direct evaluator
 that enumerates every tuple of index pairs before it prunes, both kept
 unchanged from ``gckit.multivectors``.
@@ -17,10 +21,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
-from gckit.graphs import Edge, SignedCanonicalGraph, UnorientedGraph, edge_permutation_sign
+from gckit.graphs import (
+    Edge,
+    SignedCanonicalGraph,
+    UnorientedGraph,
+    edge_permutation_sign,
+    is_connected,
+)
+from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
     _constant,
@@ -172,6 +183,26 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     is_zero = len(best_signs) == 2
     sign = 1 if is_zero else best_signs.pop()
     return NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, best_order)
+
+
+def kernel_basis(vertex_count: int, edge_count: int) -> list[UnorientedGraph]:
+    """Connected nonzero canonical graphs of a bidegree, one subset at a time."""
+    pairs = list(combinations(range(1, vertex_count + 1), 2))
+    if edge_count > len(pairs) or edge_count < 0:
+        return []
+    basis: list[UnorientedGraph] = []
+    seen: set[UnorientedGraph] = set()
+    for combo in combinations(pairs, edge_count):
+        g = UnorientedGraph(vertex_count, combo)
+        if not is_connected(g):
+            continue
+        sc = fast_canonicalize(g)
+        if sc.is_zero or sc.canonical in seen:
+            continue
+        seen.add(sc.canonical)
+        basis.append(sc.canonical)
+    basis.sort(key=lambda g: g.sort_key())
+    return basis
 
 
 def edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:

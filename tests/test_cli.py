@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from gckit import parse_graph_sum, parse_orgraph_sum
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 TETRA_REDUCED = """\
 1 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
@@ -170,6 +174,23 @@ class TestKernel:
         code, _, _ = cli("kernel", "--vertices", "4")
         assert code == 2
 
+    def test_too_many_vertices_fail_at_once(self, cli):
+        start = time.perf_counter()
+        code, out, err = cli("kernel", "--vertices", "12", "--edges", "14")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "error: --vertices above the maximum 8\n")
+
+    def test_eight_vertices_are_allowed(self, cli):
+        code, out, _ = cli("kernel", "--vertices", "8", "--edges", "29")
+        assert (code, out) == (0, "dimension: 0\n")
+
+    @pytest.mark.parametrize("edges", ["9", "10", "11"])
+    def test_matches_benchmark_golden(self, cli, edges):
+        golden = GOLDEN / f"kernel-6-{edges}.out"
+        code, out, _ = cli("kernel", "--vertices", "6", "--edges", edges)
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
+
 
 class TestOrient:
     def test_reduced_flow(self, cli, tetra_file):
@@ -258,6 +279,12 @@ class TestEvalAndSchouten:
         code, _, _ = cli("eval", "--poisson", poisson, "--dim", "3", q3_file)
         assert code == 0
 
+    def test_sink_with_two_arrows_is_an_input_error(self, cli, tmp_path, data_dir):
+        path = tmp_path / "bad.os"
+        path.write_text("1 * o 2 : 0 3 ; 0 1\n")
+        code, out, err = cli("eval", "--poisson", str(data_dir / "so3.poisson"), str(path))
+        assert (code, out, err) == (2, "", "error: sink 0 must receive exactly one arrow\n")
+
     def test_pentagon_wheel_flow_of_poisson_bivector_vanishes(
         self, cli, tmp_path, data_dir
     ):
@@ -286,6 +313,14 @@ class TestEvalAndSchouten:
         code, out, err = cli("schouten", str(path), str(path))
         assert (code, out) == (2, "")
         assert err == "error: line 2: zero denominator in '2/0' at column 1\n"
+
+    def test_overlong_number_is_an_input_error(self, cli, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.poisson"
+        path.write_text("dim 2\nx1*" + "7" * (limit + 1) + "*xi1*xi2\n")
+        code, out, err = cli("schouten", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: number with more than {limit} digits at column 4\n"
 
     def test_schouten_dimension_mismatch(self, cli, data_dir):
         code, _, err = cli(

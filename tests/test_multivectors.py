@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from gckit import (
     jacobiator,
     multivector_product,
     new_graph,
+    new_orgraph,
     or_evaluate_algebraic,
     orient,
     parse_multivector,
@@ -285,6 +287,14 @@ class TestOrgraphEvaluator:
         with pytest.raises(MultivectorError, match="bivector required"):
             evaluate_orgraph(orient(tetra), mv("xi1", 2))
 
+    @pytest.mark.parametrize(
+        "targets, sink",
+        [([(0, 3), (0, 1)], 0), ([(0, 3), (4, 2), (2, 3)], 1), ([(3, 0), (2, 0)], 0)],
+    )
+    def test_each_sink_needs_exactly_one_arrow(self, so3, targets, sink):
+        with pytest.raises(MultivectorError, match=f"sink {sink} must receive exactly one arrow"):
+            evaluate_orgraph(new_orgraph(targets), so3)
+
     def test_single_orgraph_and_sum_agree(self, so3):
         g = parse_orgraph("o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3")
         from gckit import OrgraphSum
@@ -408,6 +418,8 @@ class TestMultivectorTextFormat:
             mv("xi1*x1^100000000", 2)
         with pytest.raises(ParseError, match="exponent above the maximum 100 at column 4"):
             mv("x2^101", 2)
+        with pytest.raises(ParseError, match=r"number with more than \d+ digits at column 4"):
+            mv("x1*" + "1" * (sys.get_int_max_str_digits() + 1) + "*xi1", 2)
         assert mv("x2^0100", 2) == multivector_product(mv("x2^50", 2), mv("x2^50", 2))
 
     def test_file_errors_carry_line_numbers(self):

@@ -3,20 +3,25 @@
 ``oracles`` keeps the exhaustive canonicalizer, automorphism search and
 orgraph normalizer; hypothesis compares them with the library on random
 graphs (isolated vertices and disconnected graphs included) and random
-orgraphs (repeated targets included).  It also keeps the two-pass edge
-operator and the direct evaluator that enumerates every index tuple, which
-are compared with the one-pass edge operator and the vertex-by-vertex
-evaluator on random multivectors, graphs, orgraphs and bivectors.
+orgraphs (repeated targets included).  It also keeps the subset loop that
+built the kernel basis, compared exhaustively with the edge-by-edge
+generation on small bidegrees, and the two-pass edge operator and the direct
+evaluator that enumerates every index tuple, which are compared with the
+one-pass edge operator and the vertex-by-vertex evaluator on random
+multivectors, graphs, orgraphs and bivectors.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gckit.complexes as complexes
 import gckit.multivectors as mv
 import oracles
 from gckit import (
@@ -89,6 +94,26 @@ def test_normalize_orgraph_matches_oracle(g):
 
 
 # ---------------------------------------------------------------------------
+# Kernel basis generation
+
+# Every bidegree on at most 5 vertices, and four on 6 vertices: m = 7 and
+# m = 8 straddle the switch to generating complements at 2m > C(6, 2).
+KERNEL_BIDEGREES = [(n, m) for n in range(1, 6) for m in range(comb(n, 2) + 1)]
+KERNEL_BIDEGREES += [(6, m) for m in (6, 7, 8, 9)]
+
+
+@pytest.mark.parametrize("n, m", KERNEL_BIDEGREES)
+def test_kernel_basis_matches_oracle(n, m):
+    assert complexes._kernel_basis(n, m) == oracles.kernel_basis(n, m)
+
+
+def test_six_vertex_class_counts():
+    # OEIS A008406, row n = 6: graphs on 6 vertices by number of edges.
+    counts = [len(complexes._edge_classes(6, m)) for m in range(16)]
+    assert counts == [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1]
+
+
+# ---------------------------------------------------------------------------
 # Flow kernels
 
 NON_INTEGRAL = COEFFICIENTS.filter(lambda c: c.denominator > 1)
@@ -96,13 +121,21 @@ NON_INTEGRAL = COEFFICIENTS.filter(lambda c: c.denominator > 1)
 
 @st.composite
 def flow_orgraphs(draw):
-    """1-2 sinks, at most 4 internal vertices, any targets but self-arrows."""
+    """1-2 sinks, at most 4 internal vertices, one arrow into each sink.
+
+    The sink arrows take random slots first; every other arrow goes to any
+    internal vertex but its source, so cycles and repeated targets occur.
+    """
     s = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(1, 4))
-    targets = []
-    for i in range(n):
-        others = [t for t in range(s + n) if t != s + i]
-        targets.append((draw(st.sampled_from(others)), draw(st.sampled_from(others))))
+    # A lone internal vertex has nowhere to send an arrow that no sink takes.
+    n = draw(st.integers(3 - s, 4))
+    slots = draw(st.permutations(range(2 * n)))
+    targets = [[0, 0] for _ in range(n)]
+    for sink, slot in enumerate(slots[:s]):
+        targets[slot // 2][slot % 2] = sink
+    for slot in slots[s:]:
+        others = [s + k for k in range(n) if k != slot // 2]
+        targets[slot // 2][slot % 2] = draw(st.sampled_from(others))
     return new_orgraph(targets, sink_count=s)
 
 
