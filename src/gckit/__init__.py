@@ -14,147 +14,18 @@ The package computes with four layers, one module each:
 The :mod:`gckit.cli` module exposes everything as the ``gckit`` command.
 """
 
-from .complexes import (
-    EDGE_GRAPH,
-    GraphSum,
-    bracket,
-    cocycle_kernel,
-    differential,
-    format_graph_sum,
-    insert,
-    is_cocycle,
-    parse_graph_sum,
-)
-from .graphs import (
-    Edge,
-    GraphError,
-    ParseError,
-    SignedCanonicalGraph,
-    UnorientedGraph,
-    automorphisms,
-    canonicalize,
-    edge_permutation_sign,
-    format_graph,
-    inversion_count,
-    is_connected,
-    new_graph,
-    parse_graph,
-    significant_lines,
-)
-from .multivectors import (
-    Multivector,
-    MultivectorError,
-    evaluate_orgraph,
-    flow_commutator_check,
-    format_multivector,
-    format_poisson,
-    is_bivector,
-    jacobiator,
-    multivector_product,
-    or_evaluate_algebraic,
-    parse_multivector,
-    parse_poisson,
-    schouten,
-    verify_corollary,
-    x_derivative,
-    xi_derivative,
-)
-from .orient import (
-    NormalizedOrgraph,
-    OrgraphError,
-    Orgraph,
-    OrgraphSum,
-    OrientationWitness,
-    RulesReport,
-    SkewSymmetryError,
-    crosscheck_rules,
-    elementary_moves,
-    encoding_inversions,
-    enumerate_orientations,
-    fold_sink_swap,
-    format_orgraph,
-    format_orgraph_sum,
-    new_orgraph,
-    normalize_orgraph,
-    orient,
-    orientation_sign,
-    parse_orgraph,
-    parse_orgraph_sum,
-    rule1_sign,
-    rule2_transition_sign,
-    shape,
-    sink_swap,
-)
+# The package re-exports every module's public names.  ``orient`` is the
+# orientation morphism here, not the ``gckit.orient`` module, because the
+# star import binds the function after the submodule was loaded.
+from .graphs import *  # noqa: F401,F403
+from .graphs import __all__ as _graphs_all
+from .complexes import *  # noqa: F401,F403
+from .complexes import __all__ as _complexes_all
+from .orient import *  # noqa: F401,F403
+from .orient import __all__ as _orient_all
+from .multivectors import *  # noqa: F401,F403
+from .multivectors import __all__ as _multivectors_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "Edge",
-    "GraphError",
-    "ParseError",
-    "UnorientedGraph",
-    "SignedCanonicalGraph",
-    "new_graph",
-    "inversion_count",
-    "edge_permutation_sign",
-    "canonicalize",
-    "automorphisms",
-    "is_connected",
-    "parse_graph",
-    "format_graph",
-    "significant_lines",
-    # complexes
-    "GraphSum",
-    "EDGE_GRAPH",
-    "insert",
-    "bracket",
-    "differential",
-    "is_cocycle",
-    "cocycle_kernel",
-    "parse_graph_sum",
-    "format_graph_sum",
-    # orient
-    "Orgraph",
-    "OrgraphError",
-    "SkewSymmetryError",
-    "NormalizedOrgraph",
-    "OrientationWitness",
-    "OrgraphSum",
-    "RulesReport",
-    "new_orgraph",
-    "shape",
-    "sink_swap",
-    "normalize_orgraph",
-    "enumerate_orientations",
-    "orientation_sign",
-    "orient",
-    "encoding_inversions",
-    "rule1_sign",
-    "rule2_transition_sign",
-    "elementary_moves",
-    "crosscheck_rules",
-    "fold_sink_swap",
-    "parse_orgraph",
-    "format_orgraph",
-    "parse_orgraph_sum",
-    "format_orgraph_sum",
-    # multivectors
-    "MultivectorError",
-    "Multivector",
-    "multivector_product",
-    "xi_derivative",
-    "x_derivative",
-    "schouten",
-    "is_bivector",
-    "jacobiator",
-    "or_evaluate_algebraic",
-    "evaluate_orgraph",
-    "verify_corollary",
-    "flow_commutator_check",
-    "parse_multivector",
-    "parse_poisson",
-    "format_multivector",
-    "format_poisson",
-]
+__all__ = ["__version__", *_graphs_all, *_complexes_all, *_orient_all, *_multivectors_all]

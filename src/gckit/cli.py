@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .complexes import (
@@ -80,9 +79,7 @@ def _parse_graph_or_sum(text: str) -> GraphSum:
     """
     for _, line in significant_lines(text):
         if line.split()[0] == "g":
-            total = GraphSum()
-            total.add_graph(parse_graph(text), Fraction(1))
-            return total
+            return GraphSum([(parse_graph(text), 1)])
         break
     return parse_graph_sum(text)
 

@@ -1,9 +1,13 @@
 """Operadic insertion, the graph-complex bracket and differential, cocycles.
 
-Graphs are combined into :class:`GraphSum` objects -- finite rational linear
-combinations whose keys are canonical representatives.  The vertex-expansion
-differential is the bracket with the single edge; its kernel in a fixed
-(vertices, edges) bidegree is computed exactly over the rationals.
+Graphs are combined into :class:`GraphSum` objects -- finite exact linear
+combinations whose keys are canonical representatives.  ``GraphSum`` and the
+orgraph sums of :mod:`gckit.orient` are both thin subclasses of one private
+base, ``_Sum``: a subclass supplies only its normalizer, and the base keeps
+the coefficients, as plain ``int`` values while they are integral.  The
+vertex-expansion differential is the bracket with the single edge; its
+kernel in a fixed (vertices, edges) bidegree is computed exactly over the
+rationals.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Union
+from typing import Hashable, Iterable, Iterator, Union
 
 from .graphs import (
     Edge,
@@ -39,51 +43,72 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-class GraphSum:
-    """A finite rational linear combination of unoriented graphs.
+def _exact(value: Rational) -> Rational:
+    """An exact scalar, as an ``int`` when it is integral."""
+    if value.__class__ is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
-    Terms are stored against canonical representatives; adding a graph first
-    canonicalizes it, so zero graphs vanish and sign conventions are applied
-    automatically.
+
+class _Sum:
+    """A finite exact linear combination of normalized elements.
+
+    A subclass supplies ``_normalize(element)``, returning the element's
+    ``(key, sign)`` or ``None`` when the element is zero; the sum stores one
+    coefficient per key, an ``int`` while it is integral, and drops the keys
+    whose coefficients cancel.  Keys sort by their ``sort_key``.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self, terms: Iterable[tuple[UnorientedGraph, Rational]] = ()
-    ) -> None:
-        self._terms: dict[UnorientedGraph, Fraction] = {}
-        for g, c in terms:
-            self.add_graph(g, c)
+    def __init__(self, terms: Iterable[tuple[Hashable, Rational]] = ()) -> None:
+        self._terms: dict = {}
+        for element, coeff in terms:
+            self._add_element(element, coeff)
 
-    def add_graph(self, g: UnorientedGraph, coeff: Rational) -> None:
-        """Accumulate ``coeff`` times ``g`` (canonicalized) into this sum."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
+    @staticmethod
+    def _normalize(element) -> tuple[Hashable, int] | None:
+        raise NotImplementedError
+
+    def _add_element(self, element, coeff: Rational) -> None:
+        """Accumulate ``coeff`` times ``element`` (normalized) into this sum."""
+        coeff = _exact(coeff)
+        if not coeff:
             return
-        sc = canonicalize(g)
-        if sc.is_zero:
-            return
-        key = sc.canonical
-        new = self._terms.get(key, Fraction(0)) + sc.sign * coeff
-        if new == 0:
-            self._terms.pop(key, None)
+        norm = self._normalize(element)
+        if norm is not None:
+            self._add(norm[0], norm[1] * coeff)
+
+    def _add(self, key: Hashable, coeff: Rational) -> None:
+        """Accumulate one term whose key is already normalized."""
+        value = self._terms.get(key, 0) + coeff
+        if value:
+            self._terms[key] = _exact(value)
         else:
-            self._terms[key] = new
+            self._terms.pop(key, None)
 
-    def items(self) -> list[tuple[UnorientedGraph, Fraction]]:
-        """Terms sorted by canonical key, each a ``(graph, coefficient)`` pair."""
+    def _add_sum(self, other: "_Sum", factor: Rational = 1) -> None:
+        """Accumulate ``factor`` times another sum of the same kind."""
+        for key, coeff in other._terms.items():
+            self._add(key, coeff * factor)
+
+    def items(self) -> list[tuple[Hashable, Rational]]:
+        """Terms sorted by key, each a ``(representative, coefficient)`` pair."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coefficient(self, g: UnorientedGraph) -> Fraction:
-        """Coefficient of ``g`` in this sum (after canonicalizing ``g``)."""
-        sc = canonicalize(g)
-        if sc.is_zero:
-            return Fraction(0)
-        return sc.sign * self._terms.get(sc.canonical, Fraction(0))
+    def coefficient(self, element) -> Rational:
+        """Coefficient of ``element`` after normalizing it, ``int | Fraction``.
 
-    def copy(self) -> "GraphSum":
-        out = GraphSum()
+        It is an ``int`` when integral, and ``0`` for a zero or absent element.
+        """
+        norm = self._normalize(element)
+        if norm is None:
+            return 0
+        return norm[1] * self._terms.get(norm[0], 0)
+
+    def copy(self):
+        out = type(self)()
         out._terms = dict(self._terms)
         return out
 
@@ -93,37 +118,56 @@ class GraphSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[UnorientedGraph, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Hashable, Rational]]:
         return iter(self.items())
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphSum):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
-    def __add__(self, other: "GraphSum") -> "GraphSum":
+    def __add__(self, other):
         out = self.copy()
-        for g, c in other._terms.items():
-            out.add_graph(g, c)
+        out._add_sum(other)
         return out
 
-    def __sub__(self, other: "GraphSum") -> "GraphSum":
-        return self + (-other)
+    def __sub__(self, other):
+        out = self.copy()
+        out._add_sum(other, -1)
+        return out
 
-    def __neg__(self) -> "GraphSum":
+    def __neg__(self):
         return self * -1
 
-    def __mul__(self, scalar: Rational) -> "GraphSum":
-        scalar = Fraction(scalar)
-        out = GraphSum()
-        if scalar:
-            out._terms = {g: c * scalar for g, c in self._terms.items()}
+    def __mul__(self, scalar: Rational):
+        factor = _exact(scalar)
+        out = type(self)()
+        if factor:
+            out._terms = {key: _exact(c * factor) for key, c in self._terms.items()}
         return out
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"GraphSum({len(self._terms)} terms)"
+        return f"{type(self).__name__}({len(self._terms)} terms)"
+
+
+class GraphSum(_Sum):
+    """A finite exact linear combination of unoriented graphs.
+
+    Terms are stored against canonical representatives; adding a graph first
+    canonicalizes it, so zero graphs vanish and sign conventions are applied
+    automatically.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _normalize(g: UnorientedGraph) -> tuple[UnorientedGraph, int] | None:
+        sc = canonicalize(g)
+        return None if sc.is_zero else (sc.canonical, sc.sign)
+
+    add_graph = _Sum._add_element
 
 
 EDGE_GRAPH = new_graph(2, [(1, 2)])
@@ -184,10 +228,8 @@ def bracket(
         for g2, c2 in _as_sum(y).items():
             c = c1 * c2
             sign = -1 if (g1.edge_count * g2.edge_count) % 2 else 1
-            for h, ch in insert(g1, g2).items():
-                total.add_graph(h, c * ch)
-            for h, ch in insert(g2, g1).items():
-                total.add_graph(h, -sign * c * ch)
+            total._add_sum(insert(g1, g2), c)
+            total._add_sum(insert(g2, g1), -sign * c)
     return total
 
 
@@ -201,9 +243,13 @@ def is_cocycle(x: Union[UnorientedGraph, GraphSum]) -> bool:
     return not differential(x)
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a rational matrix (Gauss-Jordan)."""
-    matrix = [row[:] for row in rows]
+def _nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of a rational matrix (Gauss-Jordan).
+
+    The entries are converted to ``Fraction`` first, so that the division by
+    a pivot stays exact for ``int`` input.
+    """
+    matrix = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -234,7 +280,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
+def _primitive(vec: list[Fraction]) -> list[int]:
     """Scale a nonzero rational vector to coprime integers, first entry positive."""
     den = 1
     for x in vec:
@@ -247,7 +293,7 @@ def _primitive(vec: list[Fraction]) -> list[Fraction]:
     first = next(x for x in ints if x)
     if first < 0:
         ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    return ints
 
 
 def _edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
@@ -308,13 +354,13 @@ def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
     basis = _kernel_basis(vertex_count, edge_count)
 
     target_index: dict[UnorientedGraph, int] = {}
-    columns: list[dict[int, Fraction]] = []
+    columns: list[dict[int, Rational]] = []
     for g in basis:
-        col: dict[int, Fraction] = {}
+        col: dict[int, Rational] = {}
         for h, c in differential(g).items():
             col[target_index.setdefault(h, len(target_index))] = c
         columns.append(col)
-    rows = [[Fraction(0)] * len(basis) for _ in range(len(target_index))]
+    rows: list[list[Rational]] = [[0] * len(basis) for _ in range(len(target_index))]
     for j, col in enumerate(columns):
         for i, c in col.items():
             rows[i][j] = c
@@ -323,9 +369,23 @@ def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
     for vec in _nullspace(rows, len(basis)):
         combo_sum = GraphSum()
         for g, c in zip(basis, _primitive(vec)):
-            combo_sum.add_graph(g, c)
+            combo_sum._add(g, c)
         kernel.append(combo_sum)
     return kernel
+
+
+def _sum_lines(text: str, letter: str) -> Iterator[tuple[int, Fraction, str]]:
+    """``(line number, coefficient, body)`` of each ``<coefficient> * <body>``
+    line of a sum file, where ``letter`` starts the body (``g`` or ``o``)."""
+    for lineno, line in significant_lines(text):
+        coeff_text, star, rest = line.partition("*")
+        if not star:
+            raise ParseError(f"expected '<coefficient> * {letter} ...'", lineno)
+        try:
+            coeff = Fraction(coeff_text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad coefficient {coeff_text.strip()!r}", lineno) from None
+        yield lineno, coeff, rest
 
 
 def parse_graph_sum(text: str) -> GraphSum:
@@ -336,14 +396,7 @@ def parse_graph_sum(text: str) -> GraphSum:
     Blank lines and ``#`` comments are ignored; empty input is the zero sum.
     """
     total = GraphSum()
-    for lineno, line in significant_lines(text):
-        coeff_text, star, rest = line.partition("*")
-        if not star:
-            raise ParseError("expected '<coefficient> * g ...'", lineno)
-        try:
-            coeff = Fraction(coeff_text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad coefficient {coeff_text.strip()!r}", lineno) from None
+    for lineno, coeff, rest in _sum_lines(text, "g"):
         head, colon, edge_part = rest.partition(":")
         fields = head.split()
         if len(fields) != 3 or fields[0] != "g" or not colon:

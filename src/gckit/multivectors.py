@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .complexes import GraphSum, bracket, differential
+from .complexes import GraphSum, _as_sum, _exact, bracket, differential
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
 from .orient import Orgraph, OrgraphSum
 
@@ -64,14 +64,6 @@ def _normal_order(xis: Sequence[int]) -> tuple[XiSet, int] | None:
         return None
     sign = -1 if inversion_count(xis) % 2 else 1
     return tuple(sorted(xis)), sign
-
-
-def _exact(value: int | Fraction) -> int | Fraction:
-    """An exact scalar, as an ``int`` when it is integral."""
-    if value.__class__ is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 class Multivector:
@@ -482,7 +474,7 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
         raise MultivectorError("bivector required")
     components = _bivector_components(p)
     if isinstance(source, Orgraph):
-        source = OrgraphSum([(source, Fraction(1))])
+        source = OrgraphSum([(source, 1)])
     factors: dict[tuple, Multivector] = {}
     total = Multivector(p.dimension)
     for g, coeff in source.items():
@@ -492,14 +484,6 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
 
 # ---------------------------------------------------------------------------
 # Identity checks.
-
-
-def _as_graph_sum(gamma: GraphSum | UnorientedGraph) -> GraphSum:
-    if isinstance(gamma, UnorientedGraph):
-        gs = GraphSum()
-        gs.add_graph(gamma, Fraction(1))
-        return gs
-    return gamma
 
 
 def _flow(
@@ -530,7 +514,7 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
-    gamma = _as_graph_sum(gamma)
+    gamma = _as_sum(gamma)
     if not gamma:
         raise MultivectorError("empty graph sum")
     n = _uniform_vertex_count(gamma)
@@ -562,8 +546,8 @@ def flow_commutator_check(
     The commutator is the antisymmetrized linearisation: each flow is
     substituted once into every argument slot of the other.
     """
-    gamma1 = _as_graph_sum(gamma1)
-    gamma2 = _as_graph_sum(gamma2)
+    gamma1 = _as_sum(gamma1)
+    gamma2 = _as_sum(gamma2)
     if not gamma1 or not gamma2:
         raise MultivectorError("empty graph sum")
     n1 = _uniform_vertex_count(gamma1)
@@ -649,6 +633,11 @@ class _ExpressionParser:
     def fail(self, message: str, column: int) -> ParseError:
         return ParseError(f"{message} at column {column}", self.lineno)
 
+    def too_long(self, what: str, column: int) -> ParseError:
+        # Python converts at most sys.get_int_max_str_digits() digits.
+        limit = sys.get_int_max_str_digits()
+        return self.fail(f"{what} with more than {limit} digits", column)
+
     def parse(self) -> Multivector:
         value = self.expression()
         token = self.peek()
@@ -713,24 +702,21 @@ class _ExpressionParser:
             except ZeroDivisionError:
                 raise self.fail(f"zero denominator in {text!r}", column) from None
             except ValueError:
-                # Python converts at most sys.get_int_max_str_digits() digits.
-                limit = sys.get_int_max_str_digits()
-                raise self.fail(f"number with more than {limit} digits", column) from None
+                raise self.too_long("number", column) from None
             return _constant(self.dimension, value)
-        if kind == "x":
-            index = int(text[1:])
+        if kind in ("x", "xi"):
+            try:
+                index = int(text[len(kind):])
+            except ValueError:
+                raise self.too_long(f"{kind} index", column) from None
             if not 1 <= index <= self.dimension:
-                raise self.fail(f"x index {index} out of range", column)
-            xexp = tuple(1 if k == index - 1 else 0 for k in range(self.dimension))
+                raise self.fail(f"{kind} index {index} out of range", column)
             out = Multivector(self.dimension)
-            out.add_term(xexp, (), 1)
-            return out
-        if kind == "xi":
-            index = int(text[2:])
-            if not 1 <= index <= self.dimension:
-                raise self.fail(f"xi index {index} out of range", column)
-            out = Multivector(self.dimension)
-            out.add_term((0,) * self.dimension, (index - 1,), 1)
+            if kind == "x":
+                xexp = tuple(1 if k == index - 1 else 0 for k in range(self.dimension))
+                out.add_term(xexp, (), 1)
+            else:
+                out.add_term((0,) * self.dimension, (index - 1,), 1)
             return out
         if kind == "op" and text == "(":
             value = self.expression()

@@ -8,7 +8,10 @@ sinks ``0..s-1`` where ``s = 2n - e``.  Each such completed choice is an
 taking the reference order (sinks first, then body edges) to the
 vertex-by-vertex reading of the witness.  Witnesses accumulate onto
 normalized :class:`Orgraph` encodings, giving the signed multiplicities of
-the orientation morphism.
+the orientation morphism.  They are held in an :class:`OrgraphSum`, which is
+:class:`gckit.complexes.GraphSum` with :func:`normalize_orgraph` in place of
+``canonicalize``: both are thin subclasses of one linear-combination base,
+and their coefficients stay plain ``int`` while they are integral.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
 from .graphs import _minimal_labelings
-from .complexes import GraphSum
+from .complexes import GraphSum, _Sum, _sum_lines
 
 __all__ = [
     "Orgraph",
@@ -336,48 +339,17 @@ def orientation_sign(w: OrientationWitness) -> int:
     return -1 if (inversion_count(w.readout()) + e * w.sink_count) % 2 else 1
 
 
-class OrgraphSum:
-    """Finite rational linear combination of normalized orgraphs."""
+class OrgraphSum(_Sum):
+    """Finite exact linear combination of normalized orgraphs."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple[Orgraph, Fraction]] = ()) -> None:
-        self._terms: dict[Orgraph, Fraction] = {}
-        for g, c in terms:
-            self.add_orgraph(g, c)
-
-    @classmethod
-    def _from_normalized(cls, terms: dict[Orgraph, Fraction]) -> "OrgraphSum":
-        out = cls()
-        out._terms = {g: c for g, c in terms.items() if c != 0}
-        return out
-
-    def add_orgraph(self, g: Orgraph, coeff) -> None:
-        """Accumulate ``coeff`` times ``g`` (normalized) into this sum."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return
+    @staticmethod
+    def _normalize(g: Orgraph) -> tuple[Orgraph, int] | None:
         norm = normalize_orgraph(g)
-        if norm.is_zero:
-            return
-        key = norm.orgraph
-        new = self._terms.get(key, Fraction(0)) + norm.sign * coeff
-        if new == 0:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = new
+        return None if norm.is_zero else (norm.orgraph, norm.sign)
 
-    def items(self) -> list[tuple[Orgraph, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coefficient(self, g: Orgraph) -> Fraction:
-        norm = normalize_orgraph(g)
-        if norm.is_zero:
-            return Fraction(0)
-        return norm.sign * self._terms.get(norm.orgraph, Fraction(0))
-
-    def copy(self) -> "OrgraphSum":
-        return OrgraphSum._from_normalized(dict(self._terms))
+    add_orgraph = _Sum._add_element
 
     def reduce(self) -> "OrgraphSum":
         """Divide all coefficients by their common rational factor.
@@ -385,60 +357,12 @@ class OrgraphSum:
         The factor is positive (gcd of numerators over lcm of denominators),
         so every sign is preserved.
         """
-        if not self._terms:
-            return OrgraphSum()
         num = 0
         den = 1
         for c in self._terms.values():
             num = gcd(num, c.numerator)
             den = lcm(den, c.denominator)
-        factor = Fraction(num, den)
-        return OrgraphSum._from_normalized(
-            {g: c / factor for g, c in self._terms.items()}
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Orgraph, Fraction]]:
-        return iter(self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrgraphSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "OrgraphSum") -> "OrgraphSum":
-        out = self.copy()
-        for g, c in other._terms.items():
-            new = out._terms.get(g, Fraction(0)) + c
-            if new == 0:
-                out._terms.pop(g, None)
-            else:
-                out._terms[g] = new
-        return out
-
-    def __sub__(self, other: "OrgraphSum") -> "OrgraphSum":
-        return self + (-other)
-
-    def __neg__(self) -> "OrgraphSum":
-        return self * -1
-
-    def __mul__(self, scalar) -> "OrgraphSum":
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return OrgraphSum()
-        return OrgraphSum._from_normalized(
-            {g: c * scalar for g, c in self._terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"OrgraphSum({len(self._terms)} terms)"
+        return self * Fraction(den, num) if num else OrgraphSum()
 
 
 def _witness_contribution(
@@ -459,22 +383,16 @@ def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
     normalizing its orgraph; contributions accumulate per normalized
     encoding, and zero orgraphs are dropped.  Extended linearly to sums.
     """
+    total = OrgraphSum()
     if isinstance(x, GraphSum):
-        total = OrgraphSum()
         for g, c in x.items():
-            total = total + orient(g) * c
+            total._add_sum(orient(g), c)
         return total
-    acc: dict[Orgraph, Fraction] = {}
     for w in enumerate_orientations(x):
         key, eps, rho = _witness_contribution(w)
-        if key is None:
-            continue
-        new = acc.get(key, Fraction(0)) + eps * rho
-        if new == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = new
-    return OrgraphSum._from_normalized(acc)
+        if key is not None:
+            total._add(key, eps * rho)
+    return total
 
 
 def encoding_inversions(w: OrientationWitness) -> int:
@@ -620,14 +538,14 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
     sign the pairing contract expects) and pass through unchanged.  Of each
     Pi pair the lexicographically smaller encoding is kept.
     """
-    out: dict[Orgraph, Fraction] = {}
+    out = OrgraphSum()
     done: set[Orgraph] = set()
     for key, q in s.items():
         if key in done:
             continue
         done.add(key)
         if shape(key) == "Lambda":
-            out[key] = q
+            out._add(key, q)
             continue
         norm = normalize_orgraph(sink_swap(key))
         if norm.is_zero:
@@ -641,9 +559,9 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
                     f"skew-symmetry violated: self-paired term {key!r} with"
                     " even swap sign"
                 )
-            out[key] = q
+            out._add(key, q)
             continue
-        q2 = s.coefficient(partner)
+        q2 = s._terms.get(partner, 0)
         if q2 == 0:
             raise SkewSymmetryError(
                 f"skew-symmetry violated: term {key!r} has no sink-swapped"
@@ -655,9 +573,11 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
                 " incompatible coefficients"
             )
         done.add(partner)
-        rep = key if key.sort_key() < partner.sort_key() else partner
-        out[rep] = s.coefficient(rep)
-    return OrgraphSum._from_normalized(out)
+        if key.sort_key() < partner.sort_key():
+            out._add(key, q)
+        else:
+            out._add(partner, q2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1127,16 +1047,7 @@ def format_orgraph(g: Orgraph) -> str:
 def parse_orgraph_sum(text: str) -> OrgraphSum:
     """Parse a combination, one ``<rational> * o ...`` term per line."""
     total = OrgraphSum()
-    for lineno, line in significant_lines(text):
-        coeff_text, star, rest = line.partition("*")
-        if not star:
-            raise ParseError("expected '<coefficient> * o ...'", lineno)
-        try:
-            coeff = Fraction(coeff_text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(
-                f"bad coefficient {coeff_text.strip()!r}", lineno
-            ) from None
+    for lineno, coeff, rest in _sum_lines(text, "o"):
         total.add_orgraph(_parse_orgraph_body(rest.strip(), lineno), coeff)
     return total
 

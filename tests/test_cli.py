@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import sys
 import time
 from pathlib import Path
@@ -10,7 +12,22 @@ import pytest
 
 from gckit import parse_graph_sum, parse_orgraph_sum
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "golden"
+
+
+def _load_workloads():
+    """The benchmark's operation table, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
 TETRA_REDUCED = """\
 1 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
@@ -184,12 +201,19 @@ class TestKernel:
         code, out, _ = cli("kernel", "--vertices", "8", "--edges", "29")
         assert (code, out) == (0, "dimension: 0\n")
 
-    @pytest.mark.parametrize("edges", ["9", "10", "11"])
-    def test_matches_benchmark_golden(self, cli, edges):
-        golden = GOLDEN / f"kernel-6-{edges}.out"
-        code, out, _ = cli("kernel", "--vertices", "6", "--edges", edges)
-        assert code == 0
-        assert out.encode("utf-8") == golden.read_bytes()
+
+class TestBenchmarkGoldens:
+    """Every benchmark operation, on its inputs as checked in, prints its golden."""
+
+    @pytest.mark.parametrize("op", list(EXIT_CODES))
+    def test_matches_benchmark_golden(self, cli, op):
+        argv = [
+            str(WORKLOADS.source_path(ROOT, arg[1:-1])) if arg.startswith("{") else arg
+            for arg in WORKLOADS.OPS[op][1]
+        ]
+        code, out, _ = cli(*argv)
+        assert code == EXIT_CODES[op]
+        assert out.encode("utf-8") == (GOLDEN / f"{op}.out").read_bytes()
 
 
 class TestOrient:

@@ -19,6 +19,7 @@ from gckit import (
     new_graph,
     parse_graph_sum,
 )
+from gckit.complexes import _nullspace
 
 
 @pytest.fixture
@@ -67,6 +68,18 @@ class TestGraphSum:
         s = GraphSum([(tetra, 1), (edge, 1)])
         t = GraphSum([(edge, 1), (tetra, 1)])
         assert [g for g, _ in s.items()] == [g for g, _ in t.items()]
+
+    def test_coefficients_stay_int_while_integral(self, tetra, edge):
+        s = GraphSum([(tetra, 3), (edge, -2)])
+        half = s * Fraction(1, 2)
+        assert type(half.coefficient(tetra)) is Fraction
+        not_closed = new_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+        assert not differential(tetra)
+        for total in (differential(not_closed), s * Fraction(4, 2), half + half):
+            assert total
+            assert all(type(c) is int for _, c in total.items())
+        assert s.coefficient(not_closed) == 0
+        assert type(s.coefficient(not_closed)) is int
 
 
 class TestInsertAndBracket:
@@ -142,6 +155,11 @@ class TestCocycleKernel:
         basis = cocycle_kernel(5, 5)
         assert len(basis) == 1
         assert basis[0].coefficient(pentagon) in (1, -1)
+
+    def test_nullspace_is_exact_for_int_input(self):
+        basis = _nullspace([[2, 1, 0], [0, 3, 1]], 3)
+        assert basis == [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
+        assert all(type(x) is Fraction for vec in basis for x in vec)
 
     def test_basis_vectors_are_primitive_cocycles(self, wheel5, companion5):
         basis = cocycle_kernel(6, 10)

@@ -420,6 +420,10 @@ class TestMultivectorTextFormat:
             mv("x2^101", 2)
         with pytest.raises(ParseError, match=r"number with more than \d+ digits at column 4"):
             mv("x1*" + "1" * (sys.get_int_max_str_digits() + 1) + "*xi1", 2)
+        with pytest.raises(ParseError, match=r"^x index with more than \d+ digits at column 4$"):
+            mv("x1*x" + "1" * (sys.get_int_max_str_digits() + 1), 2)
+        with pytest.raises(ParseError, match=r"^xi index with more than \d+ digits at column 1$"):
+            mv("xi" + "1" * (sys.get_int_max_str_digits() + 1) + "*x1", 2)
         assert mv("x2^0100", 2) == multivector_product(mv("x2^50", 2), mv("x2^50", 2))
 
     def test_file_errors_carry_line_numbers(self):

@@ -246,6 +246,13 @@ class TestOrgraphSum:
         s = OrgraphSum([(a, Fraction(1, 2)), (b, Fraction(-3, 4))])
         assert [c for _, c in s.reduce().items()] == [2, -3]
 
+    def test_coefficients_stay_int_while_integral(self, tetra, pentagon_cocycle):
+        for total in (orient(pentagon_cocycle), orient(tetra).reduce()):
+            assert total
+            assert all(type(c) is int for _, c in total.items())
+        absent = new_orgraph([(0, 1), (2, 4), (2, 5), (2, 3)])
+        assert type(OrgraphSum().coefficient(absent)) is int
+
 
 # ---------------------------------------------------------------------------
 # Sign rules
