@@ -20,7 +20,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .complexes import GraphSum, _as_sum, _exact, bracket, differential
@@ -314,6 +313,18 @@ def _is_odd_argument(mv: Multivector) -> bool:
     return any(degree % 2 for degree in mv.xi_degrees())
 
 
+def _arrangements(args: Sequence[Multivector]) -> Iterator[list[Multivector]]:
+    """Every distinct ordering of ``args`` once; equal arguments are alike."""
+    if not args:
+        yield []
+        return
+    for i, first in enumerate(args):
+        if any(first == earlier for earlier in args[:i]):
+            continue
+        for rest in _arrangements(args[:i] + args[i + 1:]):
+            yield [first] + rest
+
+
 def or_evaluate_algebraic(
     graph: UnorientedGraph, args: Sequence[Multivector]
 ) -> Multivector:
@@ -321,8 +332,11 @@ def or_evaluate_algebraic(
 
     The ordered product of edge operators (first edge acting first) is
     applied to the placed arguments, averaged over all vertex placements.
-    At most one argument may have odd components; identical even arguments
-    collapse the placement average to a single term.
+    At most one argument may have odd components.  Equal arguments are
+    interchangeable, so the average runs over the distinct arrangements of
+    the arguments: each occurs ``m1! m2! ...`` times among the ``n!``
+    placements when the arguments fall into classes of ``m1, m2, ...`` equal
+    ones, which leaves the average unchanged.
     """
     n = graph.vertex_count
     if len(args) != n:
@@ -332,33 +346,12 @@ def or_evaluate_algebraic(
         raise MultivectorError("dimension mismatch")
     if sum(_is_odd_argument(a) for a in args) > 1:
         raise MultivectorError("well-definedness precondition violated")
-
-    distinct: list[Multivector] = []
-    classes: list[int] = []
-    for a in args:
-        for idx, seen in enumerate(distinct):
-            if a == seen:
-                classes.append(idx)
-                break
-        else:
-            distinct.append(a)
-            classes.append(len(distinct) - 1)
-
-    if len(distinct) == 1 and not _is_odd_argument(distinct[0]):
-        return _evaluate_ordered(graph, args, d)
-
-    # Summing over permutations of argument placements equals summing over
-    # the inverse permutations, so enumerate vertex assignments directly and
-    # cache by the class of the argument sitting at each vertex.
-    cache: dict[tuple[int, ...], Multivector] = {}
     total = Multivector(d)
-    for assignment in permutations(range(n)):
-        signature = tuple(classes[k] for k in assignment)
-        if signature not in cache:
-            reordered = [args[k] for k in assignment]
-            cache[signature] = _evaluate_ordered(graph, reordered, d)
-        total += cache[signature]
-    return total * Fraction(1, math.factorial(n))
+    count = 0
+    for placed in _arrangements(list(args)):
+        total += _evaluate_ordered(graph, placed, d)
+        count += 1
+    return total * Fraction(1, count)
 
 
 def _evaluate_ordered(
@@ -488,12 +481,12 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
 
 def _flow(
     gamma: GraphSum,
+    d: int,
     args_for: Callable[[UnorientedGraph], Sequence[Multivector]],
-) -> Multivector | None:
-    total: Multivector | None = None
+) -> Multivector:
+    total = Multivector(d)
     for graph, coeff in gamma.items():
-        value = coeff * or_evaluate_algebraic(graph, args_for(graph))
-        total = value if total is None else total + value
+        total += coeff * or_evaluate_algebraic(graph, args_for(graph))
     return total
 
 
@@ -520,19 +513,12 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
     n = _uniform_vertex_count(gamma)
     d = p.dimension
 
-    dgamma = differential(gamma)
-    lhs = _flow(dgamma, lambda graph: [p] * graph.vertex_count)
-    if lhs is None:
-        lhs = Multivector(d)
-
-    flow = _flow(gamma, lambda graph: [p] * n)
-    assert flow is not None
+    lhs = _flow(differential(gamma), d, lambda graph: [p] * graph.vertex_count)
+    flow = _flow(gamma, d, lambda graph: [p] * n)
     jac = schouten(p, p)
     rhs = 2 * schouten(p, flow)
     if jac:
-        substituted = _flow(gamma, lambda graph: [jac] + [p] * (n - 1))
-        assert substituted is not None
-        rhs -= n * substituted
+        rhs -= n * _flow(gamma, d, lambda graph: [jac] + [p] * (n - 1))
     return lhs == rhs
 
 
@@ -554,25 +540,16 @@ def flow_commutator_check(
     n2 = _uniform_vertex_count(gamma2)
     d = p.dimension
 
-    q1 = _flow(gamma1, lambda graph: [p] * n1)
-    q2 = _flow(gamma2, lambda graph: [p] * n2)
-    assert q1 is not None and q2 is not None
+    q1 = _flow(gamma1, d, lambda graph: [p] * n1)
+    q2 = _flow(gamma2, d, lambda graph: [p] * n2)
 
     def linearised(gamma: GraphSum, n: int, direction: Multivector) -> Multivector:
         if not direction:
             return Multivector(d)
-        value = _flow(gamma, lambda graph: [direction] + [p] * (n - 1))
-        assert value is not None
-        return n * value
+        return n * _flow(gamma, d, lambda graph: [direction] + [p] * (n - 1))
 
     lhs = linearised(gamma2, n2, q1) - linearised(gamma1, n1, q2)
-
-    rhs = Multivector(d)
-    combined = bracket(gamma1, gamma2)
-    for graph, coeff in combined.items():
-        rhs += coeff * or_evaluate_algebraic(
-            graph, [p] * graph.vertex_count
-        )
+    rhs = _flow(bracket(gamma1, gamma2), d, lambda graph: [p] * graph.vertex_count)
     return lhs == rhs
 
 

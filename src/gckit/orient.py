@@ -6,18 +6,24 @@ topping up every vertex to out-degree exactly 2 with arrows into labeled
 sinks ``0..s-1`` where ``s = 2n - e``.  Each such completed choice is an
 :class:`OrientationWitness`; its sign is the parity of the permutation
 taking the reference order (sinks first, then body edges) to the
-vertex-by-vertex reading of the witness.  Witnesses accumulate onto
+vertex-by-vertex reading of the witness, whose out-items each witness
+computes once, in one pass over the edges.  Witnesses accumulate onto
 normalized :class:`Orgraph` encodings, giving the signed multiplicities of
 the orientation morphism.  They are held in an :class:`OrgraphSum`, which is
 :class:`gckit.complexes.GraphSum` with :func:`normalize_orgraph` in place of
 ``canonicalize``: both are thin subclasses of one linear-combination base,
 and their coefficients stay plain ``int`` while they are integral.
+
+:func:`crosscheck_rules` checks the combinatorial sign rules against the
+readout parities.  Its :class:`RulesReport` is the report's lines plus the
+mismatches found: each check writes its line as soon as it finishes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -215,7 +221,9 @@ class OrientationWitness:
     is 0 and from its larger endpoint when it is 1.  ``sinks[v-1]`` lists the
     sink labels emitted by vertex ``v`` in ascending order.  The global item
     order gives sink label ``k`` the id ``k`` and body edge ``i`` the id
-    ``sink_count + i``; every vertex emits exactly two items.
+    ``sink_count + i``; every vertex emits exactly two items.  A witness
+    computes its out-items once, and :meth:`items`, :meth:`readout` and
+    :meth:`orgraph` read them from there.
     """
 
     graph: UnorientedGraph
@@ -223,38 +231,35 @@ class OrientationWitness:
     mask: int
     sinks: tuple[tuple[int, ...], ...]
 
-    def edge_direction(self, i: int) -> tuple[int, int]:
-        """(tail, head) of body edge ``i`` under this witness."""
-        u, v = self.graph.edges[i]
-        return (v, u) if (self.mask >> i) & 1 else (u, v)
+    @cached_property
+    def _arrows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Item ids and their target labels, vertex by vertex, two per vertex.
 
-    def items(self, v: int) -> list[tuple[int, int]]:
-        """Out-items of vertex ``v`` as ``(id, target label)``, id-ascending.
-
-        Sink items target the sink's own label; body items target the head
-        vertex's internal label ``head + sink_count - 1``.
+        Each vertex's items come id-ascending.  Sink items target the sink's
+        own label; body items target the head vertex's internal label
+        ``head + sink_count - 1``.  Computed once, in one pass over the edges,
+        and kept as two flat tuples.
         """
-        out = [(k, k) for k in self.sinks[v - 1]]
-        for i in range(self.graph.edge_count):
-            tail, head = self.edge_direction(i)
-            if tail == v:
-                out.append((self.sink_count + i, head + self.sink_count - 1))
-        out.sort()
-        return out
+        s = self.sink_count
+        out = [[(k, k) for k in ks] for ks in self.sinks]
+        for i, (u, v) in enumerate(self.graph.edges):
+            tail, head = (v, u) if (self.mask >> i) & 1 else (u, v)
+            out[tail - 1].append((s + i, head + s - 1))
+        ids, targets = zip(*(item for items in out for item in items))
+        return ids, targets
+
+    def items(self, v: int) -> tuple[tuple[int, int], ...]:
+        """Out-items of vertex ``v`` as ``(id, target label)``, id-ascending."""
+        ids, targets = self._arrows
+        return tuple(zip(ids[2 * v - 2 : 2 * v], targets[2 * v - 2 : 2 * v]))
 
     def readout(self) -> tuple[int, ...]:
         """Item ids vertex by vertex; a permutation of ``0..2n-1``."""
-        seq: list[int] = []
-        for v in range(1, self.graph.vertex_count + 1):
-            seq.extend(item_id for item_id, _ in self.items(v))
-        return tuple(seq)
+        return self._arrows[0]
 
     def orgraph(self) -> Orgraph:
-        pairs = []
-        for v in range(1, self.graph.vertex_count + 1):
-            (_, t1), (_, t2) = self.items(v)
-            pairs.append((t1, t2))
-        return Orgraph(self.sink_count, tuple(pairs))
+        targets = self._arrows[1]
+        return Orgraph(self.sink_count, tuple(zip(targets[::2], targets[1::2])))
 
     def shape(self) -> str:
         if self.sink_count != 2:
@@ -365,17 +370,6 @@ class OrgraphSum(_Sum):
         return self * Fraction(den, num) if num else OrgraphSum()
 
 
-def _witness_contribution(
-    w: OrientationWitness,
-) -> tuple[Orgraph | None, int, int]:
-    """(normalized key or None if zero, parity sign, normalization sign)."""
-    eps = orientation_sign(w)
-    norm = normalize_orgraph(w.orgraph())
-    if norm.is_zero:
-        return None, eps, norm.sign
-    return norm.orgraph, eps, norm.sign
-
-
 def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
     """The orientation morphism: signed multiplicities of normalized orgraphs.
 
@@ -389,10 +383,34 @@ def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
             total._add_sum(orient(g), c)
         return total
     for w in enumerate_orientations(x):
-        key, eps, rho = _witness_contribution(w)
-        if key is not None:
-            total._add(key, eps * rho)
+        norm = normalize_orgraph(w.orgraph())
+        if not norm.is_zero:
+            total._add(norm.orgraph, orientation_sign(w) * norm.sign)
     return total
+
+
+def _pulled_back(
+    w: OrientationWitness,
+) -> tuple[NormalizedOrgraph, list[tuple[tuple[int, int], ...]]]:
+    """The witness's normalization, and its out-items in normalized order.
+
+    Row ``k`` holds the out-items of the vertex that received normalized
+    label ``sink_count + k``, with every body target relabeled to its
+    normalized label, so row ``k`` targets the pair ``targets[k]`` of the
+    normalized encoding.
+    """
+    norm = normalize_orgraph(w.orgraph())
+    s = w.sink_count
+    label_of = [0] * len(norm.order)
+    for slot, original in enumerate(norm.order):
+        label_of[original] = s + slot
+    rows = [
+        tuple(
+            (iid, t if t < s else label_of[t - s]) for iid, t in w.items(original + 1)
+        )
+        for original in norm.order
+    ]
+    return norm, rows
 
 
 def encoding_inversions(w: OrientationWitness) -> int:
@@ -402,28 +420,14 @@ def encoding_inversions(w: OrientationWitness) -> int:
     Right) target pair; pulling that pair back along the witness's
     normalization order matches it with two of the witness's out-items.
     This counts the vertices whose Left item carries a larger id than the
-    Right item (ties in the targets are read in ascending id order).
+    Right item (vertices whose two targets coincide are skipped).
     """
-    norm = normalize_orgraph(w.orgraph())
-    order = norm.order
-    s = w.sink_count
-    label_of = [0] * len(order)
-    for new_slot, original in enumerate(order):
-        label_of[original] = new_slot
-
+    norm, rows = _pulled_back(w)
     count = 0
-    for slot, original in enumerate(order):
-        left, right = norm.orgraph.targets[slot]
-        if left == right:
-            continue
-        mapped = [
-            (iid, t if t < s else s + label_of[t - s])
-            for iid, t in w.items(original + 1)
-        ]
-        id_left = next(iid for iid, t in mapped if t == left)
-        id_right = next(iid for iid, t in mapped if t == right)
-        if id_left > id_right:
-            count += 1
+    for (left, right), row in zip(norm.orgraph.targets, rows):
+        if left != right:
+            id_of = {t: iid for iid, t in row}
+            count += id_of[left] > id_of[right]
     return count
 
 
@@ -593,164 +597,46 @@ def _sign_glyph(sign: int) -> str:
     return "(+)" if sign > 0 else "(-)"
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    """A witness with its derived sign data."""
-
-    witness: OrientationWitness
-    epsilon: int
-    key: Orgraph | None
-    rho: int
-    contribution: int
-
-    @property
-    def shape(self) -> str:
-        return self.witness.shape()
-
-
-@dataclass(frozen=True)
-class ChainLine:
-    """A worked sign chain from the reference witness to one class."""
-
-    target: Orgraph
-    rule1_product: int
-    reversals: int
-    shape_changed: bool
-    predicted: int
-    actual: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.predicted == self.actual
-
-    def chain_text(self) -> str:
-        rev_sign = -1 if self.reversals % 2 else 1
-        shape_sign = -1 if self.shape_changed else 1
-        return (
-            f"{_sign_glyph(self.rule1_product)}{_sign_glyph(rev_sign)}"
-            f"{_sign_glyph(shape_sign)} = {_sign_glyph(self.predicted)}"
-        )
-
-
-@dataclass(frozen=True)
-class WalkLine:
-    """A sign transported move by move where no one-step summary applies."""
-
-    target: Orgraph
-    moves: int
-    predicted: int
-    actual: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.predicted == self.actual
+def _counted(n: int, one: str, many: str) -> str:
+    return f"{n} {one if n == 1 else many}"
 
 
 @dataclass
 class RulesReport:
-    """Outcome of checking the sign rules against permutation parities."""
+    """Outcome of checking the sign rules against permutation parities.
 
-    graph: UnorientedGraph
-    records: list[WitnessRecord]
-    class_members: dict[Orgraph, list[WitnessRecord]]
-    coefficients: dict[Orgraph, Fraction]
-    theorem_mismatches: list[str]
-    swap_mismatches: list[str]
-    pairing_mismatches: list[str]
-    move_count: int
-    move_mismatches: list[str]
-    chains: list[ChainLine | WalkLine]
-    chain_mismatches: list[str]
-    transposition_lines: list[str]
+    ``lines`` holds the report's lines in print order, each written as soon
+    as its check finished; ``mismatches`` holds the failures, in the order
+    the checks ran.
+    """
 
-    @property
-    def mismatches(self) -> list[str]:
-        return (
-            self.theorem_mismatches
-            + self.swap_mismatches
-            + self.pairing_mismatches
-            + self.move_mismatches
-            + self.chain_mismatches
-        )
+    lines: list[str] = field(default_factory=list)
+    mismatches: list[str] = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
         return not self.mismatches
 
     def format(self) -> str:
-        two_sinks = 2 * self.graph.vertex_count - self.graph.edge_count == 2
-        if two_sinks:
-            head = (
-                f"witnesses: {len(self.records)}"
-                f" (Lambda {sum(1 for r in self.records if r.shape == 'Lambda')},"
-                f" Pi {sum(1 for r in self.records if r.shape == 'Pi')})"
-            )
-        else:
-            head = f"witnesses: {len(self.records)}"
-        lines = [
-            head,
-            f"classes: {len(self.class_members)}",
-            "class consistency: "
-            + ("ok" if not self.theorem_mismatches else "MISMATCH"),
-        ]
-        if two_sinks:
-            lines.append(
-                "sink-order exchange flips parity: "
-                + ("ok" if not self.swap_mismatches else "MISMATCH")
-            )
-            lines.append(
-                "sink-swap class pairing: "
-                + ("ok" if not self.pairing_mismatches else "MISMATCH")
-            )
-        lines.append(
-            f"elementary move signs ({self.move_count} moves): "
-            + ("ok" if not self.move_mismatches else "MISMATCH")
+        verdict = "result: " + ("consistent" if self.consistent else "INCONSISTENT")
+        return "\n".join(
+            self.lines + [f"mismatch: {m}" for m in self.mismatches] + [verdict]
         )
-        for chain in self.chains:
-            size = len(self.class_members[chain.target])
-            coeff = self.coefficients[chain.target]
-            status = "ok" if chain.consistent else "MISMATCH"
-            witness_word = "witness" if size == 1 else "witnesses"
-            if isinstance(chain, WalkLine):
-                move_word = "move" if chain.moves == 1 else "moves"
-                lines.append(
-                    f"chain -> {encode_compact(chain.target)}"
-                    f" [{shape(chain.target)}, coeff {coeff}, {size} {witness_word},"
-                    f" walk of {chain.moves} {move_word}]:"
-                    f" transported {_sign_glyph(chain.predicted)}"
-                    f" vs witness parity ratio {_sign_glyph(chain.actual)} {status}"
-                )
-                continue
-            reversal_word = "reversal" if chain.reversals == 1 else "reversals"
-            lines.append(
-                f"chain -> {encode_compact(chain.target)}"
-                f" [{shape(chain.target)}, coeff {coeff}, {size} {witness_word},"
-                f" {chain.reversals} {reversal_word}]: {chain.chain_text()}"
-                f" vs parity {_sign_glyph(chain.actual)} {status}"
-            )
-        lines.extend(self.transposition_lines)
-        for m in self.mismatches:
-            lines.append(f"mismatch: {m}")
-        lines.append("result: " + ("consistent" if self.consistent else "INCONSISTENT"))
-        return "\n".join(lines)
 
 
-def _displayed_classes(class_members: dict[Orgraph, list["WitnessRecord"]]) -> list[Orgraph]:
+def _displayed_classes(classes: list[Orgraph]) -> list[Orgraph]:
     """Lambda classes plus the smaller member of each sink-swapped Pi pair.
 
     These are the classes whose signs the reversal rule is expected to fix;
     each remaining Pi class is the sink-swapped partner of a displayed one
     and its sign follows from the pairing contract instead.
     """
-    displayed: list[Orgraph] = []
-    for key in sorted(class_members, key=lambda k: k.sort_key()):
-        if shape(key) == "Lambda":
-            displayed.append(key)
-            continue
-        partner = normalize_orgraph(sink_swap(key)).orgraph
-        if partner == key or key.sort_key() < partner.sort_key():
-            displayed.append(key)
-    return displayed
+    return [
+        key
+        for key in classes
+        if shape(key) == "Lambda"
+        or key.sort_key() <= normalize_orgraph(sink_swap(key)).orgraph.sort_key()
+    ]
 
 
 def _transposition_counts(w: OrientationWitness) -> tuple[int, int]:
@@ -762,29 +648,19 @@ def _transposition_counts(w: OrientationWitness) -> tuple[int, int]:
     encoding-order count pulls the sink ids to the front and lists each
     vertex's body ids in the order the canonical encoding lists the targets.
     """
-    norm = normalize_orgraph(w.orgraph())
-    order = norm.order
+    _, rows = _pulled_back(w)
     s = w.sink_count
-    label_of = [0] * len(order)
-    for new_slot, original in enumerate(order):
-        label_of[original] = new_slot
-    seq_edge: list[int] = []
-    seq_enc: list[int] = list(range(s))
-    for original in order:
-        items = w.items(original + 1)
-        seq_edge.extend(item_id for item_id, _ in items)
-
-        def norm_target(item: tuple[int, int]) -> int:
-            t = item[1]
-            return t if t < s else s + label_of[t - s]
-
-        body = sorted((it for it in items if it[0] >= s), key=norm_target)
-        seq_enc.extend(item_id for item_id, _ in body)
+    seq_edge = [iid for row in rows for iid, _ in row]
+    seq_enc = list(range(s)) + [
+        iid
+        for row in rows
+        for iid, _ in sorted((it for it in row if it[0] >= s), key=lambda it: it[1])
+    ]
     return inversion_count(seq_edge), inversion_count(seq_enc)
 
 
-def _rule1_dressing(rec: WitnessRecord) -> int:
-    return rule1_sign(rec.witness) if rec.shape == "Pi" else 1
+def _rule1_dressing(w: OrientationWitness) -> int:
+    return rule1_sign(w) if w.shape() == "Pi" else 1
 
 
 def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
@@ -795,204 +671,191 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
     admissible move of every witness: the rule-derived sign of the move
     must equal the ratio of the endpoint parities.  Relative signs of
     arbitrary admissible pairs then follow by telescoping along a chain.
-    For two-sink graphs the report additionally checks that (i) the
-    witnesses of one normalized class contribute with one common sign,
-    (ii) a Pi witness and its sink-label exchange have opposite parities
-    and the two classes of a sink-swapped pair carry coefficients related
-    by minus the swap's normalization sign, and (iii) each displayed class
-    is summarized by a single transition from the reference witness --
+
+    For every graph, not only for two-sink ones, the report also checks
+    (i) that the witnesses of one normalized class contribute with one
+    common sign.  The orientation of a zero graph vanishes, so its
+    witnesses cancel inside every class they reach: a zero graph such as
+    the three-vertex path, the star K1,3 or K5 reports ``class consistency:
+    MISMATCH`` and the report is inconsistent.  For two-sink graphs it additionally checks that (ii) a
+    Pi witness and its sink-label exchange have opposite parities and the
+    two classes of a sink-swapped pair carry coefficients related by minus
+    the swap's normalization sign, and (iii) each displayed class is
+    summarized by a single transition from the reference witness --
     sink-companion dressing, one sign per body reversal, one per shape
-    change -- whenever some member admits a consistent one-step summary;
-    a class with no such summary is presented as a walk over elementary
-    moves whose transported sign must reproduce the parity ratio of its
+    change -- whenever some member admits a consistent one-step summary; a
+    class with no such summary is presented as a walk over elementary moves
+    whose transported sign must reproduce the parity ratio of its
     endpoints.  The report also lists each displayed class's transposition
     counts in both reading conventions, taken at the class's chain or walk
     witness (at the reference witness for its own class).
+
+    The checks run in the order the report prints them -- class
+    consistency, sink swap, class pairing, moves, chains -- and each writes
+    its line as soon as it finishes.
     """
-    records: list[WitnessRecord] = []
-    for w in sorted(enumerate_orientations(g), key=lambda w: w.sort_key()):
-        key, eps, rho = _witness_contribution(w)
-        records.append(WitnessRecord(w, eps, key, rho, eps * rho))
+    report = RulesReport()
+    lines, mismatches = report.lines, report.mismatches
 
-    class_members: dict[Orgraph, list[WitnessRecord]] = {}
-    for rec in records:
-        if rec.key is not None:
-            class_members.setdefault(rec.key, []).append(rec)
-    coefficients = {
-        key: Fraction(sum(r.contribution for r in members))
-        for key, members in class_members.items()
-    }
+    def verdict(label: str, found: list[str]) -> None:
+        lines.append(f"{label}: " + ("MISMATCH" if found else "ok"))
+        mismatches.extend(found)
 
-    theorem_mismatches = []
-    for key, members in sorted(class_members.items(), key=lambda kv: kv[0].sort_key()):
-        signs = {r.contribution for r in members}
-        if len(signs) > 1:
-            theorem_mismatches.append(
-                f"class {encode_compact(key)} mixes contribution signs"
-            )
-
-    # every elementary move of every witness: rule sign vs parity ratio
-    eps_of = {(r.witness.mask, r.witness.sinks): r.epsilon for r in records}
-    neighbours: dict[tuple, list[tuple[tuple, int]]] = {}
-    move_count = 0
-    move_mismatches: list[str] = []
-    for rec in records:
-        src = (rec.witness.mask, rec.witness.sinks)
-        for target, predicted in elementary_moves(rec.witness):
-            move_count += 1
-            dst = (target.mask, target.sinks)
-            target_eps = eps_of.get(dst)
-            if target_eps is None:
-                move_mismatches.append(
-                    f"move from witness (mask {rec.witness.mask},"
-                    f" sinks {rec.witness.sinks}) leaves the witness set"
-                )
-                continue
-            neighbours.setdefault(src, []).append((dst, predicted))
-            if predicted != rec.epsilon * target_eps:
-                move_mismatches.append(
-                    f"move (mask {rec.witness.mask}, sinks {rec.witness.sinks})"
-                    f" -> (mask {target.mask}, sinks {target.sinks}): rule sign"
-                    f" {_sign_glyph(predicted)}, parity ratio"
-                    f" {_sign_glyph(rec.epsilon * target_eps)}"
-                )
+    witnesses = sorted(enumerate_orientations(g), key=OrientationWitness.sort_key)
+    eps_of = {w: orientation_sign(w) for w in witnesses}
+    class_of: dict[OrientationWitness, Orgraph] = {}
+    contribution: dict[OrientationWitness, int] = {}
+    members: dict[Orgraph, list[OrientationWitness]] = {}
+    for w in witnesses:
+        norm = normalize_orgraph(w.orgraph())
+        if not norm.is_zero:
+            class_of[w] = norm.orgraph
+            contribution[w] = eps_of[w] * norm.sign
+            members.setdefault(norm.orgraph, []).append(w)
+    classes = sorted(members, key=Orgraph.sort_key)
+    coefficient = {key: sum(contribution[w] for w in ws) for key, ws in members.items()}
 
     two_sinks = 2 * g.vertex_count - g.edge_count == 2
-    swap_mismatches: list[str] = []
-    pairing_mismatches: list[str] = []
-    chains: list[ChainLine | WalkLine] = []
-    chain_mismatches: list[str] = []
-    transposition_lines: list[str] = []
+    head = f"witnesses: {len(witnesses)}"
     if two_sinks:
-        for rec in records:
-            if rec.witness.shape() != "Pi":
-                continue
-            partner = rec.witness.sink_swapped()
-            if orientation_sign(partner) != -rec.epsilon:
-                swap_mismatches.append(
-                    f"sink swap of witness (mask {rec.witness.mask},"
-                    f" sinks {rec.witness.sinks}) does not flip parity"
-                )
+        lambdas = sum(w.shape() == "Lambda" for w in witnesses)
+        head += f" (Lambda {lambdas}, Pi {len(witnesses) - lambdas})"
+    lines.extend([head, f"classes: {len(members)}"])
 
-        for key in sorted(class_members, key=lambda k: k.sort_key()):
+    verdict("class consistency", [
+        f"class {encode_compact(key)} mixes contribution signs"
+        for key in classes
+        if len({contribution[w] for w in members[key]}) > 1
+    ])
+
+    if two_sinks:
+        verdict("sink-order exchange flips parity", [
+            f"sink swap of witness (mask {w.mask}, sinks {w.sinks})"
+            " does not flip parity"
+            for w in witnesses
+            if w.shape() == "Pi" and orientation_sign(w.sink_swapped()) != -eps_of[w]
+        ])
+        unpaired = []
+        for key in classes:
             if shape(key) == "Lambda":
                 continue
-            norm = normalize_orgraph(sink_swap(key))
-            partner, rho = norm.orgraph, norm.sign
-            expected = -rho * coefficients[key]
-            found = coefficients.get(partner, Fraction(0))
+            partner = normalize_orgraph(sink_swap(key))
+            expected = -partner.sign * coefficient[key]
+            found = coefficient.get(partner.orgraph, 0)
             if found != expected:
-                pairing_mismatches.append(
+                unpaired.append(
                     f"class {encode_compact(key)}: sink-swapped partner carries"
                     f" {found}, pairing contract expects {expected}"
                 )
+        verdict("sink-swap class pairing", unpaired)
 
-        # reference witness: the Lambda witness of minimal readout inversions
-        lambda_recs = [r for r in records if r.shape == "Lambda" and r.key is not None]
-        pool = lambda_recs or [r for r in records if r.key is not None]
-        if pool:
-            ref = min(
-                pool,
-                key=lambda r: (
-                    inversion_count(r.witness.readout()),
-                    r.witness.sort_key(),
-                ),
+    # every elementary move of every witness: rule sign vs parity ratio
+    neighbours: dict[OrientationWitness, list[tuple[OrientationWitness, int]]] = {}
+    moves = 0
+    wrong: list[str] = []
+    for w in witnesses:
+        for target, predicted in elementary_moves(w):
+            moves += 1
+            target_eps = eps_of.get(target)
+            if target_eps is None:
+                wrong.append(
+                    f"move from witness (mask {w.mask}, sinks {w.sinks})"
+                    " leaves the witness set"
+                )
+                continue
+            neighbours.setdefault(w, []).append((target, predicted))
+            if predicted != eps_of[w] * target_eps:
+                wrong.append(
+                    f"move (mask {w.mask}, sinks {w.sinks})"
+                    f" -> (mask {target.mask}, sinks {target.sinks}): rule sign"
+                    f" {_sign_glyph(predicted)}, parity ratio"
+                    f" {_sign_glyph(eps_of[w] * target_eps)}"
+                )
+    verdict(f"elementary move signs ({moves} moves)", wrong)
+
+    nonzero = [w for w in witnesses if w in class_of]
+    if not two_sinks or not nonzero:
+        return report
+    # reference witness: the Lambda witness of minimal readout inversions
+    pool = [w for w in nonzero if w.shape() == "Lambda"] or nonzero
+    ref = min(pool, key=lambda w: (inversion_count(w.readout()), w.sort_key()))
+    # breadth-first parity transport from the reference witness
+    transport = {ref: (1, 0)}
+    queue = deque([ref])
+    while queue:
+        cur = queue.popleft()
+        cur_sign, cur_depth = transport[cur]
+        for dst, move_sign in neighbours.get(cur, ()):
+            if dst not in transport:
+                transport[dst] = (cur_sign * move_sign, cur_depth + 1)
+                queue.append(dst)
+
+    counts_of = {w: _transposition_counts(w) for w in nonzero}
+    displayed = _displayed_classes(classes)
+    designated = {class_of[ref]: ref}
+    for key in displayed:
+        if key == class_of[ref]:
+            continue
+        head = (
+            f"chain -> {encode_compact(key)} [{shape(key)}, coeff {coefficient[key]},"
+            f" {_counted(len(members[key]), 'witness', 'witnesses')},"
+        )
+        # Among the minimal-reversal transitions, present the one with the
+        # richest encoding-order bookkeeping; remaining ties go to fewer
+        # edge-order transpositions, then the smallest witness.
+        candidates = sorted(
+            members[key],
+            key=lambda w: (
+                (ref.mask ^ w.mask).bit_count(),
+                -counts_of[w][1],
+                counts_of[w][0],
+                w.sort_key(),
+            ),
+        )
+        for target in candidates:
+            r1 = _rule1_dressing(ref) * _rule1_dressing(target)
+            predicted = r1 * rule2_transition_sign(ref, target)
+            if predicted == contribution[ref] * contribution[target]:
+                designated[key] = target
+                reversals = (ref.mask ^ target.mask).bit_count()
+                shape_changed = ref.shape() != target.shape()
+                lines.append(
+                    f"{head} {_counted(reversals, 'reversal', 'reversals')}]:"
+                    f" {_sign_glyph(r1)}{_sign_glyph(-1 if reversals % 2 else 1)}"
+                    f"{_sign_glyph(-1 if shape_changed else 1)}"
+                    f" = {_sign_glyph(predicted)} vs parity {_sign_glyph(predicted)} ok"
+                )
+                break
+        else:
+            # No single transition summarizes this class; transport the
+            # parity ratio move by move instead.
+            walker = designated[key] = members[key][0]
+            if walker not in transport:
+                mismatches.append(
+                    f"class {encode_compact(key)} is not connected to the"
+                    " reference witness by elementary moves"
+                )
+                continue
+            walk_sign, depth = transport[walker]
+            actual = eps_of[ref] * eps_of[walker]
+            lines.append(
+                f"{head} walk of {_counted(depth, 'move', 'moves')}]:"
+                f" transported {_sign_glyph(walk_sign)}"
+                f" vs witness parity ratio {_sign_glyph(actual)} "
+                + ("ok" if walk_sign == actual else "MISMATCH")
             )
-            # breadth-first parity transport from the reference witness
-            ref_pos = (ref.witness.mask, ref.witness.sinks)
-            transport: dict[tuple, tuple[int, int]] = {ref_pos: (1, 0)}
-            queue = deque([ref_pos])
-            while queue:
-                cur = queue.popleft()
-                cur_sign, cur_depth = transport[cur]
-                for dst, move_sign in neighbours.get(cur, ()):
-                    if dst not in transport:
-                        transport[dst] = (cur_sign * move_sign, cur_depth + 1)
-                        queue.append(dst)
-            displayed = _displayed_classes(class_members)
-            designated: dict[Orgraph, WitnessRecord] = {ref.key: ref}
-            counts_of = {
-                r.witness: _transposition_counts(r.witness)
-                for members in class_members.values()
-                for r in members
-            }
-            for key in displayed:
-                if key == ref.key:
-                    continue
-                # Among the minimal-reversal transitions, present the one with
-                # the richest encoding-order bookkeeping; remaining ties go to
-                # fewer edge-order transpositions, then the smallest witness.
-                candidates = sorted(
-                    class_members[key],
-                    key=lambda r: (
-                        (ref.witness.mask ^ r.witness.mask).bit_count(),
-                        -counts_of[r.witness][1],
-                        counts_of[r.witness][0],
-                        r.witness.sort_key(),
-                    ),
+            if walk_sign != actual:
+                mismatches.append(
+                    f"class {encode_compact(key)}: transported move sign"
+                    " disagrees with the witness parity ratio"
                 )
-                chosen: ChainLine | None = None
-                for target in candidates:
-                    reversals = (ref.witness.mask ^ target.witness.mask).bit_count()
-                    r1 = _rule1_dressing(ref) * _rule1_dressing(target)
-                    shape_changed = ref.shape != target.shape
-                    predicted = r1 * rule2_transition_sign(ref.witness, target.witness)
-                    actual = ref.contribution * target.contribution
-                    line = ChainLine(
-                        key, r1, reversals, shape_changed, predicted, actual
-                    )
-                    if line.consistent:
-                        chosen = line
-                        designated[key] = target
-                        break
-                if chosen is not None:
-                    chains.append(chosen)
-                    continue
-                # No single transition summarizes this class; transport the
-                # parity ratio move by move instead.
-                walker = min(
-                    class_members[key], key=lambda r: r.witness.sort_key()
-                )
-                designated[key] = walker
-                entry = transport.get((walker.witness.mask, walker.witness.sinks))
-                if entry is None:
-                    chain_mismatches.append(
-                        f"class {encode_compact(key)} is not connected to the"
-                        " reference witness by elementary moves"
-                    )
-                    continue
-                walk_sign, depth = entry
-                walk = WalkLine(key, depth, walk_sign, ref.epsilon * walker.epsilon)
-                chains.append(walk)
-                if not walk.consistent:
-                    chain_mismatches.append(
-                        f"class {encode_compact(key)}: transported move sign"
-                        " disagrees with the witness parity ratio"
-                    )
-            for key in displayed:
-                rec = designated.get(key)
-                if rec is None:
-                    rec = min(class_members[key], key=lambda r: r.witness.sort_key())
-                by_edge, by_enc = counts_of[rec.witness]
-                transposition_lines.append(
-                    f"transpositions -> {encode_compact(key)}:"
-                    f" edge-order {by_edge}, encoding-order {by_enc}"
-                )
-
-    return RulesReport(
-        graph=g,
-        records=records,
-        class_members=class_members,
-        coefficients=coefficients,
-        theorem_mismatches=theorem_mismatches,
-        swap_mismatches=swap_mismatches,
-        pairing_mismatches=pairing_mismatches,
-        move_count=move_count,
-        move_mismatches=move_mismatches,
-        chains=chains,
-        chain_mismatches=chain_mismatches,
-        transposition_lines=transposition_lines,
-    )
+    for key in displayed:
+        by_edge, by_enc = counts_of[designated[key]]
+        lines.append(
+            f"transpositions -> {encode_compact(key)}:"
+            f" edge-order {by_edge}, encoding-order {by_enc}"
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ The kernel basis is the loop that canonicalized one graph per connected
 subset of ``edge_count`` vertex pairs, kept unchanged from
 ``gckit.complexes.cocycle_kernel`` apart from returning the basis.
 
-The flow kernels are the two-pass edge operator and the direct evaluator
-that enumerates every tuple of index pairs before it prunes, both kept
+The flow kernels are the two-pass edge operator, the direct evaluator
+that enumerates every tuple of index pairs before it prunes, and the
+algebraic evaluator's placement loop over all ``n!`` permutations, all kept
 unchanged from ``gckit.multivectors``.
 
 The tests compare the fast code with these on random inputs.
@@ -34,7 +35,10 @@ from gckit.graphs import (
 from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
+    MultivectorError,
     _constant,
+    _evaluate_ordered,
+    _is_odd_argument,
     multivector_product,
     x_derivative,
     xi_derivative,
@@ -262,3 +266,44 @@ def evaluate_single_orgraph(
 
     recurse(0, [])
     return out * Fraction(1, math.factorial(s))
+
+
+def or_evaluate_algebraic(
+    graph: UnorientedGraph, args: Sequence[Multivector]
+) -> Multivector:
+    """Average the edge-operator product over all ``n!`` vertex placements."""
+    n = graph.vertex_count
+    if len(args) != n:
+        raise MultivectorError("argument count must equal the vertex count")
+    d = args[0].dimension
+    if any(a.dimension != d for a in args):
+        raise MultivectorError("dimension mismatch")
+    if sum(_is_odd_argument(a) for a in args) > 1:
+        raise MultivectorError("well-definedness precondition violated")
+
+    distinct: list[Multivector] = []
+    classes: list[int] = []
+    for a in args:
+        for idx, seen in enumerate(distinct):
+            if a == seen:
+                classes.append(idx)
+                break
+        else:
+            distinct.append(a)
+            classes.append(len(distinct) - 1)
+
+    if len(distinct) == 1 and not _is_odd_argument(distinct[0]):
+        return _evaluate_ordered(graph, args, d)
+
+    # Summing over permutations of argument placements equals summing over
+    # the inverse permutations, so enumerate vertex assignments directly and
+    # cache by the class of the argument sitting at each vertex.
+    cache: dict[tuple[int, ...], Multivector] = {}
+    total = Multivector(d)
+    for assignment in permutations(range(n)):
+        signature = tuple(classes[k] for k in assignment)
+        if signature not in cache:
+            reordered = [args[k] for k in assignment]
+            cache[signature] = _evaluate_ordered(graph, reordered, d)
+        total += cache[signature]
+    return total * Fraction(1, math.factorial(n))

@@ -29,6 +29,24 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
+# Frozen ``rules-check`` stdout and exit codes: the ``data/`` graphs,
+# ``perfbench/inputs/wheel7.g``, and every connected graph class with at most
+# four vertices or with five vertices and at least six edges (``inputs/``).
+# The zero graphs among them exit 1 with ``result: INCONSISTENT``.
+RULES_GOLDEN = ROOT / "tests" / "golden" / "rules-check"
+RULES_EXIT_CODES = json.loads(
+    (RULES_GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
+)
+
+
+def _rules_input(name: str) -> Path:
+    for folder in (RULES_GOLDEN / "inputs", ROOT / "data", ROOT / "perfbench" / "inputs"):
+        path = folder / f"{name}.g"
+        if path.exists():
+            return path
+    raise FileNotFoundError(name)
+
+
 TETRA_REDUCED = """\
 1 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
 -3 * o 4 : 0 3 ; 1 4 ; 2 5 ; 2 3
@@ -282,6 +300,12 @@ class TestRulesCheck:
         assert code == 0
         assert "(-)(+)(-) = (+)" in out
         assert "edge-order 10, encoding-order 15" in out
+
+    @pytest.mark.parametrize("name", sorted(RULES_EXIT_CODES))
+    def test_matches_golden(self, cli, name):
+        code, out, _ = cli("rules-check", str(_rules_input(name)))
+        assert code == RULES_EXIT_CODES[name]
+        assert out.encode("utf-8") == (RULES_GOLDEN / f"{name}.out").read_bytes()
 
 
 class TestEvalAndSchouten:

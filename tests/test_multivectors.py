@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from gckit import (
     x_derivative,
     xi_derivative,
 )
+import gckit.multivectors as multivector_module
 from gckit.multivectors import _edge_operator
 
 
@@ -280,6 +282,23 @@ class TestAlgebraicEvaluator:
     def test_grading_bookkeeping(self, tetra, cubic3):
         q = or_evaluate_algebraic(tetra, [cubic3] * 4)
         assert q.xi_degrees() <= {2}
+
+    @pytest.mark.parametrize(
+        "pattern, arrangements",
+        [("aaaa", 1), ("oaaa", 4), ("aabb", 6), ("abba", 6), ("aaab", 4)],
+    )
+    def test_each_distinct_arrangement_is_evaluated_once(
+        self, tetra, so3, cubic3, pattern, arrangements
+    ):
+        args = {"a": so3, "b": cubic3, "o": mv("x1*xi2", 3)}
+        with mock.patch.object(
+            multivector_module,
+            "_evaluate_ordered",
+            wraps=multivector_module._evaluate_ordered,
+        ) as evaluate:
+            or_evaluate_algebraic(tetra, [args[c] for c in pattern])
+        placed = [tuple(map(id, call.args[1])) for call in evaluate.call_args_list]
+        assert len(placed) == len(set(placed)) == arrangements
 
 
 class TestOrgraphEvaluator:

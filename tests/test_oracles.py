@@ -8,7 +8,9 @@ built the kernel basis, compared exhaustively with the edge-by-edge
 generation on small bidegrees, and the two-pass edge operator and the direct
 evaluator that enumerates every index tuple, which are compared with the
 one-pass edge operator and the vertex-by-vertex evaluator on random
-multivectors, graphs, orgraphs and bivectors.
+multivectors, graphs, orgraphs and bivectors, and the placement loop over
+all ``n!`` permutations, compared with the average over distinct
+arrangements on graphs with at most four vertices.
 """
 
 from __future__ import annotations
@@ -178,3 +180,24 @@ def test_direct_evaluator_matches_oracle(data):
         assert mv._evaluate_single_orgraph(g, p, components, factors) == (
             oracles.evaluate_single_orgraph(g, p, components)
         )
+
+
+@given(data=st.data(), kind=st.sampled_from(["equal", "one odd", "two even"]))
+@settings(max_examples=90, deadline=None)
+def test_placement_average_matches_oracle(data, kind):
+    n = data.draw(st.integers(2 if kind == "two even" else 1, 4))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = new_graph(n, edges)
+    d = data.draw(st.integers(1, 2))
+    even = [0, 2] if d > 1 else [0]
+    a = data.draw(multivectors(d, data.draw(st.sampled_from(even))))
+    args = [a] * n
+    if kind == "one odd":
+        args[data.draw(st.integers(0, n - 1))] = data.draw(multivectors(d, 1))
+    elif kind == "two even":
+        b = data.draw(multivectors(d, data.draw(st.sampled_from(even))))
+        assume(a != b)
+        for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)):
+            args[i] = b
+    assert or_evaluate_algebraic(graph, args) == oracles.or_evaluate_algebraic(graph, args)
