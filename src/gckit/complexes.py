@@ -1,13 +1,13 @@
 """Operadic insertion, the graph-complex bracket and differential, cocycles.
 
 Graphs are combined into :class:`GraphSum` objects -- finite exact linear
-combinations whose keys are canonical representatives.  ``GraphSum`` and the
-orgraph sums of :mod:`gckit.orient` are both thin subclasses of one private
-base, ``_Sum``: a subclass supplies only its normalizer, and the base keeps
-the coefficients, as plain ``int`` values while they are integral.  The
-vertex-expansion differential is the bracket with the single edge; its
-kernel in a fixed (vertices, edges) bidegree is computed exactly over the
-rationals.
+combinations whose keys are canonical representatives.  ``GraphSum``,
+``OrgraphSum`` and ``Multivector`` are the three thin subclasses of one
+private base, ``_Sum``: a subclass supplies its normalizer, and the base does
+the arithmetic, ``reduce`` included, on coefficients that stay plain ``int``
+while they are integral.  The vertex-expansion differential is the bracket
+with the single edge; its kernel in a fixed (vertices, edges) bidegree is
+computed exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class _Sum:
     A subclass supplies ``_normalize(element)``, returning the element's
     ``(key, sign)`` or ``None`` when the element is zero; the sum stores one
     coefficient per key, an ``int`` while it is integral, and drops the keys
-    whose coefficients cancel.  Keys sort by their ``sort_key``.
+    whose coefficients cancel.  Keys sort by their ``sort_key``.  Every empty
+    result is built by ``_empty``, which a subclass with parameters overrides.
     """
 
     __slots__ = ("_terms",)
@@ -71,13 +72,15 @@ class _Sum:
     def _normalize(element) -> tuple[Hashable, int] | None:
         raise NotImplementedError
 
+    def _empty(self):
+        """A zero sum of the same kind as this one."""
+        return type(self)()
+
     def _add_element(self, element, coeff: Rational) -> None:
-        """Accumulate ``coeff`` times ``element`` (normalized) into this sum."""
-        coeff = _exact(coeff)
-        if not coeff:
-            return
+        """Accumulate ``coeff`` times ``element``, normalized even for a zero ``coeff``."""
         norm = self._normalize(element)
-        if norm is not None:
+        coeff = _exact(coeff)
+        if norm is not None and coeff:
             self._add(norm[0], norm[1] * coeff)
 
     def _add(self, key: Hashable, coeff: Rational) -> None:
@@ -107,8 +110,21 @@ class _Sum:
             return 0
         return norm[1] * self._terms.get(norm[0], 0)
 
+    def reduce(self):
+        """Divide all coefficients by their common rational factor.
+
+        The factor is positive (gcd of numerators over lcm of denominators),
+        so every sign is preserved.
+        """
+        num = 0
+        den = 1
+        for c in self._terms.values():
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+        return self * Fraction(den, num) if num else self._empty()
+
     def copy(self):
-        out = type(self)()
+        out = self._empty()
         out._terms = dict(self._terms)
         return out
 
@@ -141,7 +157,7 @@ class _Sum:
 
     def __mul__(self, scalar: Rational):
         factor = _exact(scalar)
-        out = type(self)()
+        out = self._empty()
         if factor:
             out._terms = {key: _exact(c * factor) for key, c in self._terms.items()}
         return out
@@ -280,22 +296,6 @@ def _nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def _primitive(vec: list[Fraction]) -> list[int]:
-    """Scale a nonzero rational vector to coprime integers, first entry positive."""
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
 def _edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
     """One edge tuple per isomorphism class of graphs of the given bidegree.
 
@@ -367,10 +367,11 @@ def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
 
     kernel = []
     for vec in _nullspace(rows, len(basis)):
-        combo_sum = GraphSum()
-        for g, c in zip(basis, _primitive(vec)):
-            combo_sum._add(g, c)
-        kernel.append(combo_sum)
+        combo = GraphSum()
+        for g, c in zip(basis, vec):
+            combo._add(g, c)
+        combo = combo.reduce()
+        kernel.append(-combo if next(c for c in vec if c) < 0 else combo)
     return kernel
 
 

@@ -5,7 +5,9 @@ anticommuting fibre coordinates ``xi1..xid``.  Terms are stored normal
 ordered (strictly increasing xi indices); reordering odd factors introduces
 the usual sign per swap.  Coefficients are exact: a plain ``int`` when
 integral and a ``Fraction`` otherwise, so integer inputs never pay for
-rational arithmetic.
+rational arithmetic.  :class:`Multivector` is the third thin subclass of
+the linear-combination base of :mod:`gckit.complexes`: it supplies its
+dimension and a normalizer, and sums accumulate in place through the base.
 
 The module provides the Schouten bracket, the algebraic orientation
 evaluator (a product of edge operators acting on multivectors placed at
@@ -22,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .complexes import GraphSum, _as_sum, _exact, bracket, differential
+from .complexes import GraphSum, _Sum, _as_sum, _exact, bracket, differential
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
 from .orient import Orgraph, OrgraphSum
 
@@ -65,28 +67,26 @@ def _normal_order(xis: Sequence[int]) -> tuple[XiSet, int] | None:
     return tuple(sorted(xis)), sign
 
 
-class Multivector:
-    """A polynomial multivector field on R^d with exact coefficients."""
+class Multivector(_Sum):
+    """A polynomial multivector field on R^d with exact coefficients.
 
-    __slots__ = ("dimension", "_terms")
+    A term's key is ``(xexp, xis)``, its odd indices normal ordered.
+    """
 
-    def __init__(
-        self,
-        dimension: int,
-        terms: Mapping[TermKey, int | Fraction] | None = None,
-    ) -> None:
+    __slots__ = ("dimension",)
+
+    def __init__(self, dimension: int) -> None:
         if dimension < 1:
             raise MultivectorError("dimension must be positive")
+        super().__init__()
         self.dimension = dimension
-        self._terms: dict[TermKey, int | Fraction] = {}
-        if terms:
-            for (xexp, xis), coeff in terms.items():
-                self.add_term(xexp, xis, coeff)
 
-    def add_term(
-        self, xexp: Sequence[int], xis: Sequence[int], coeff: int | Fraction
-    ) -> None:
-        """Accumulate one term, normal-ordering the odd factors."""
+    def _empty(self) -> "Multivector":
+        return Multivector(self.dimension)
+
+    def _normalize(self, key: TermKey) -> tuple[TermKey, int] | None:
+        """Check one monomial and normal-order its odd factors."""
+        xexp, xis = key
         if len(xexp) != self.dimension:
             raise MultivectorError("exponent vector length mismatch")
         if any(e < 0 for e in xexp):
@@ -94,24 +94,23 @@ class Multivector:
         if any(not 0 <= i < self.dimension for i in xis):
             raise MultivectorError("odd index out of range")
         ordered = _normal_order(xis)
-        if ordered is None or not coeff:
-            return
-        self._add((tuple(xexp), ordered[0]), coeff * ordered[1])
+        return None if ordered is None else ((tuple(xexp), ordered[0]), ordered[1])
 
-    def _add(self, key: TermKey, coeff: int | Fraction) -> None:
-        """Accumulate one term whose key is already valid and normal ordered."""
-        value = self._terms.get(key, 0) + coeff
-        if value:
-            self._terms[key] = _exact(value)
-        else:
-            self._terms.pop(key, None)
+    def add_term(
+        self, xexp: Sequence[int], xis: Sequence[int], coeff: int | Fraction
+    ) -> None:
+        """Accumulate one term, normal-ordering the odd factors."""
+        self._add_element((xexp, xis), coeff)
+
+    def _add_sum(self, other: "Multivector", factor: int | Fraction = 1) -> None:
+        if self.dimension != other.dimension:
+            raise MultivectorError("dimension mismatch")
+        super()._add_sum(other, factor)
 
     def items(self) -> list[tuple[TermKey, int | Fraction]]:
         return sorted(self._terms.items())
 
-    def coefficient(
-        self, xexp: Sequence[int], xis: Sequence[int]
-    ) -> int | Fraction:
+    def coefficient(self, xexp: Sequence[int], xis: Sequence[int]) -> int | Fraction:
         """The coefficient of one monomial: an ``int`` when integral."""
         ordered = _normal_order(xis)
         if ordered is None:
@@ -131,48 +130,10 @@ class Multivector:
             parts.setdefault(len(key[1]), Multivector(self.dimension))._add(key, coeff)
         yield from sorted(parts.items())
 
-    def copy(self) -> "Multivector":
-        out = Multivector(self.dimension)
-        out._terms = dict(self._terms)
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.dimension == other.dimension and self._terms == other._terms
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable container
-        raise TypeError("unhashable type: 'Multivector'")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        if self.dimension != other.dimension:
-            raise MultivectorError("dimension mismatch")
-        out = self.copy()
-        for key, coeff in other._terms.items():
-            out._add(key, coeff)
-        return out
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        return self * -1
-
-    def __mul__(self, scalar: Fraction | int) -> "Multivector":
-        factor = _exact(scalar)
-        out = Multivector(self.dimension)
-        if factor:
-            for key, coeff in self._terms.items():
-                out._terms[key] = _exact(coeff * factor)
-        return out
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Multivector(dim={self.dimension}, {format_multivector(self)!r})"
@@ -230,12 +191,9 @@ def schouten(f: Multivector, g: Multivector) -> Multivector:
     for degree, part in f.components():
         lead = -1 if (degree - 1) % 2 else 1
         for alpha in range(f.dimension):
-            out += lead * multivector_product(
-                xi_derivative(part, alpha), x_derivative(g, alpha)
-            )
-            out -= multivector_product(
-                x_derivative(part, alpha), xi_derivative(g, alpha)
-            )
+            dxi, dx = xi_derivative(part, alpha), x_derivative(part, alpha)
+            out._add_sum(multivector_product(dxi, x_derivative(g, alpha)), lead)
+            out._add_sum(multivector_product(dx, xi_derivative(g, alpha)), -1)
     return out
 
 
@@ -349,7 +307,7 @@ def or_evaluate_algebraic(
     total = Multivector(d)
     count = 0
     for placed in _arrangements(list(args)):
-        total += _evaluate_ordered(graph, placed, d)
+        total._add_sum(_evaluate_ordered(graph, placed, d))
         count += 1
     return total * Fraction(1, count)
 
@@ -471,7 +429,7 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     factors: dict[tuple, Multivector] = {}
     total = Multivector(p.dimension)
     for g, coeff in source.items():
-        total += coeff * _evaluate_single_orgraph(g, p, components, factors)
+        total._add_sum(_evaluate_single_orgraph(g, p, components, factors), coeff)
     return total
 
 
@@ -486,7 +444,7 @@ def _flow(
 ) -> Multivector:
     total = Multivector(d)
     for graph, coeff in gamma.items():
-        total += coeff * or_evaluate_algebraic(graph, args_for(graph))
+        total._add_sum(or_evaluate_algebraic(graph, args_for(graph)), coeff)
     return total
 
 
@@ -518,7 +476,7 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
     jac = schouten(p, p)
     rhs = 2 * schouten(p, flow)
     if jac:
-        rhs -= n * _flow(gamma, d, lambda graph: [jac] + [p] * (n - 1))
+        rhs._add_sum(_flow(gamma, d, lambda graph: [jac] + [p] * (n - 1)), -n)
     return lhs == rhs
 
 
@@ -559,6 +517,9 @@ def flow_commutator_check(
 
 # The largest exponent the parser expands; ``x1^e`` costs e multiplications.
 _MAX_EXPONENT = 100
+
+# The largest ``dim`` header accepted; every term stores a d-tuple.
+_MAX_DIMENSION = 10_000
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<xi>xi\d+)|(?P<x>x\d+)"
@@ -729,14 +690,17 @@ def parse_poisson(text: str) -> Multivector:
         raise ParseError("empty input", None)
     lineno, header = lines[0]
     fields = header.split()
-    if len(fields) != 2 or fields[0] != "dim" or not fields[1].isdigit():
+    if len(fields) != 2 or fields[0] != "dim" or not fields[1].isdecimal():
         raise ParseError("expected header 'dim <d>'", lineno)
-    dimension = int(fields[1])
+    digits = fields[1].lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_DIMENSION)) or int(digits) > _MAX_DIMENSION:
+        raise ParseError(f"dimension above the maximum {_MAX_DIMENSION}", lineno)
+    dimension = int(digits)
     if dimension < 1:
         raise ParseError("dimension must be positive", lineno)
     total = Multivector(dimension)
     for lineno, line in lines[1:]:
-        total += parse_multivector(line, dimension, lineno)
+        total._add_sum(parse_multivector(line, dimension, lineno))
     return total
 
 

@@ -12,7 +12,7 @@ normalized :class:`Orgraph` encodings, giving the signed multiplicities of
 the orientation morphism.  They are held in an :class:`OrgraphSum`, which is
 :class:`gckit.complexes.GraphSum` with :func:`normalize_orgraph` in place of
 ``canonicalize``: both are thin subclasses of one linear-combination base,
-and their coefficients stay plain ``int`` while they are integral.
+as ``Multivector`` is, and ``reduce`` lives on that base.
 
 :func:`crosscheck_rules` checks the combinatorial sign rules against the
 readout parities.  Its :class:`RulesReport` is the report's lines plus the
@@ -24,9 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
@@ -355,19 +353,6 @@ class OrgraphSum(_Sum):
         return None if norm.is_zero else (norm.orgraph, norm.sign)
 
     add_orgraph = _Sum._add_element
-
-    def reduce(self) -> "OrgraphSum":
-        """Divide all coefficients by their common rational factor.
-
-        The factor is positive (gcd of numerators over lcm of denominators),
-        so every sign is preserved.
-        """
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return self * Fraction(den, num) if num else OrgraphSum()
 
 
 def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
@@ -790,8 +775,10 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
                 transport[dst] = (cur_sign * move_sign, cur_depth + 1)
                 queue.append(dst)
 
-    counts_of = {w: _transposition_counts(w) for w in nonzero}
     displayed = _displayed_classes(classes)
+    counts_of = {
+        w: _transposition_counts(w) for key in displayed for w in members[key]
+    }
     designated = {class_of[ref]: ref}
     for key in displayed:
         if key == class_of[ref]:

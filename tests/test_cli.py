@@ -370,6 +370,14 @@ class TestEvalAndSchouten:
         assert (code, out) == (2, "")
         assert err == f"error: line 2: number with more than {limit} digits at column 4\n"
 
+    @pytest.mark.parametrize("digits", ["10001", "9" * 5000], ids=["10001", "5000-digits"])
+    def test_overlarge_dimension_is_an_input_error(self, cli, tmp_path, digits):
+        path = tmp_path / "wide.poisson"
+        path.write_text(f"# wide\ndim {digits}\nx1*xi1*xi2\n")
+        code, out, err = cli("schouten", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: dimension above the maximum 10000\n"
+
     def test_schouten_dimension_mismatch(self, cli, data_dir):
         code, _, err = cli(
             "schouten", str(data_dir / "so3.poisson"), str(data_dir / "sym2.poisson")

@@ -81,6 +81,14 @@ class TestGraphSum:
         assert s.coefficient(not_closed) == 0
         assert type(s.coefficient(not_closed)) is int
 
+    def test_reduce_divides_out_the_content_and_keeps_signs(self, tetra, edge):
+        s = GraphSum([(tetra, Fraction(-3, 2)), (edge, Fraction(9, 4))])
+        reduced = s.reduce()
+        assert (reduced.coefficient(tetra), reduced.coefficient(edge)) == (-2, 3)
+        assert all(type(c) is int for _, c in reduced.items())
+        assert (-s).reduce() == -reduced
+        assert GraphSum().reduce() == GraphSum()
+
 
 class TestInsertAndBracket:
     def test_edge_graph_constant(self, edge):

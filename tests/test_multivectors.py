@@ -69,6 +69,23 @@ class TestMultivector:
     def test_dimension_mismatch(self):
         with pytest.raises(MultivectorError, match="dimension mismatch"):
             mv("x1", 1) + mv("x1", 2)
+        with pytest.raises(MultivectorError, match="dimension mismatch"):
+            mv("x1", 1) - mv("x1", 2)
+        assert Multivector(2) != Multivector(3)
+
+    def test_results_keep_the_dimension(self):
+        p = mv("2*x1*xi1*xi2 - 4*x2*xi2*xi3", 3)
+        assert p.reduce() == mv("x1*xi1*xi2 - 2*x2*xi2*xi3", 3)
+        assert p * Fraction(1, 2) == p.reduce()
+        for result in (p.copy(), p * Fraction(1, 2), p.reduce(), Multivector(3).reduce()):
+            assert type(result) is Multivector
+            assert result.dimension == 3
+
+    def test_zero_coefficient_still_checks_the_term(self):
+        with pytest.raises(MultivectorError, match="odd index out of range"):
+            Multivector(2).add_term((0, 0), (5,), 0)
+        with pytest.raises(MultivectorError, match="exponent vector length mismatch"):
+            Multivector(2).add_term((0,), (), 0)
 
     def test_term_bookkeeping(self):
         p = mv("x1*xi1*xi2 - x1*xi2*xi1", 2)
@@ -450,8 +467,15 @@ class TestMultivectorTextFormat:
             parse_poisson("")
         with pytest.raises(ParseError, match=r"line 1: expected header 'dim <d>'"):
             parse_poisson("x1*xi1*xi2")
+        with pytest.raises(ParseError, match=r"line 1: expected header 'dim <d>'"):
+            parse_poisson("dim \u00b2\nx1")
         with pytest.raises(ParseError, match="line 1: dimension must be positive"):
             parse_poisson("dim 0\nx1")
+        with pytest.raises(ParseError, match="^line 2: dimension above the maximum 10000$"):
+            parse_poisson("# p\ndim 10001\nx1")
+        with pytest.raises(ParseError, match="^line 1: dimension above the maximum 10000$"):
+            parse_poisson("dim " + "1" * (sys.get_int_max_str_digits() + 1))
+        assert parse_poisson("dim 0010000\nx10000").dimension == 10000
         with pytest.raises(ParseError, match="line 3"):
             parse_poisson("# p\ndim 3\nbad^")
 
