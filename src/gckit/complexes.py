@@ -389,6 +389,21 @@ def _sum_lines(text: str, letter: str) -> Iterator[tuple[int, Fraction, str]]:
         yield lineno, coeff, rest
 
 
+def _int_pairs(text: str, sep: str, what: str, lineno: int | None) -> list[Edge]:
+    """The pairs of a list like ``1 2, 1 3``, skipping empty chunks."""
+    pairs = []
+    for chunk in text.split(sep):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            a, b = chunk.split()
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise ParseError(f"bad {what} {chunk!r}", lineno) from None
+    return pairs
+
+
 def parse_graph_sum(text: str) -> GraphSum:
     """Parse a linear combination, one term per line::
 
@@ -406,18 +421,7 @@ def parse_graph_sum(text: str) -> GraphSum:
             n, m = int(fields[1]), int(fields[2])
         except ValueError:
             raise ParseError("vertex/edge counts must be integers", lineno) from None
-        edges = []
-        for chunk in edge_part.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            uv = chunk.split()
-            if len(uv) != 2:
-                raise ParseError(f"bad edge {chunk!r}", lineno)
-            try:
-                edges.append((int(uv[0]), int(uv[1])))
-            except ValueError:
-                raise ParseError(f"bad edge {chunk!r}", lineno) from None
+        edges = _int_pairs(edge_part, ",", "edge", lineno)
         if len(edges) != m:
             raise ParseError(f"expected {m} edges, found {len(edges)}", lineno)
         try:

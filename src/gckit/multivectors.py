@@ -18,11 +18,12 @@ Schouten bracket.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .complexes import GraphSum, _Sum, _as_sum, _exact, bracket, differential
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
@@ -215,18 +216,10 @@ def jacobiator(p: Multivector) -> Multivector:
 # coordinates per graph vertex.  It is a Multivector of dimension n*d: the
 # even generator (copy, alpha) is coordinate copy*d + alpha, and likewise for
 # the odd generators, so products and derivatives there are the ordinary
-# ones.  Applying all edge operators and restricting to the diagonal returns
-# a multivector on R^d.
-
-
-def _placed(mv: Multivector, copy: int, copies: int) -> Multivector:
-    d = mv.dimension
-    out = Multivector(copies * d)
-    for (xexp, xis), coeff in mv._terms.items():
-        big_x = [0] * (copies * d)
-        big_x[copy * d: (copy + 1) * d] = xexp
-        out._add((tuple(big_x), tuple(copy * d + i for i in xis)), coeff)
-    return out
+# ones.  Placing the arguments is a tensor product: a key concatenates one
+# term of each copy, already normal ordered as later copies have larger odd
+# indices.  Applying all edge operators and restricting to the diagonal
+# returns a multivector on R^d.
 
 
 def _edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
@@ -256,14 +249,14 @@ def _edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
     return out
 
 
-def _diagonal(big: Multivector, copies: int, d: int) -> Multivector:
+def _diagonal(big: Multivector, d: int) -> Multivector:
+    """Identify the vertex copies: copy k's generator k*d + alpha becomes alpha."""
     out = Multivector(d)
     for (big_x, big_xis), coeff in big._terms.items():
-        xexp = tuple(
-            sum(big_x[copy * d + alpha] for copy in range(copies))
-            for alpha in range(d)
-        )
-        out.add_term(xexp, tuple(i % d for i in big_xis), coeff)
+        ordered = _normal_order([i % d for i in big_xis])
+        if ordered is not None:
+            xexp = tuple(sum(big_x[alpha::d]) for alpha in range(d))
+            out._add((xexp, ordered[0]), coeff * ordered[1])
     return out
 
 
@@ -305,24 +298,25 @@ def or_evaluate_algebraic(
     if sum(_is_odd_argument(a) for a in args) > 1:
         raise MultivectorError("well-definedness precondition violated")
     total = Multivector(d)
-    count = 0
-    for placed in _arrangements(list(args)):
+    arrangements = list(_arrangements(list(args)))
+    for placed in arrangements:
         total._add_sum(_evaluate_ordered(graph, placed, d))
-        count += 1
-    return total * Fraction(1, count)
+    return total * Fraction(1, len(arrangements))
 
 
 def _evaluate_ordered(
     graph: UnorientedGraph, placed_args: Sequence[Multivector], d: int
 ) -> Multivector:
     """Edge-operator product with placed_args[i] sitting at vertex i+1."""
-    n = graph.vertex_count
-    big = _constant(n * d, 1)
-    for vertex, mv in enumerate(placed_args):
-        big = multivector_product(big, _placed(mv, vertex, n))
+    big = Multivector(graph.vertex_count * d)
+    for terms in itertools.product(*(mv._terms.items() for mv in placed_args)):
+        keys, coeffs = zip(*terms)
+        xexp = tuple(itertools.chain.from_iterable(x for x, _ in keys))
+        xis = tuple(copy * d + i for copy, (_, odd) in enumerate(keys) for i in odd)
+        big._add((xexp, xis), math.prod(coeffs))
     for u, v in graph.edges:
         big = _edge_operator(big, u - 1, v - 1, d)
-    return _diagonal(big, n, d)
+    return _diagonal(big, d)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +326,7 @@ def _evaluate_ordered(
 def _bivector_components(p: Multivector) -> dict[tuple[int, int], Multivector]:
     """Antisymmetric component 0-forms of a bivector, by index pair."""
     components: dict[tuple[int, int], Multivector] = {}
-    for (xexp, xis), coeff in p._terms.items():
-        if len(xis) != 2:
-            raise MultivectorError("bivector required")
-        i, j = xis
+    for (xexp, (i, j)), coeff in p._terms.items():
         components.setdefault((i, j), Multivector(p.dimension))._add((xexp, ()), coeff)
         components.setdefault((j, i), Multivector(p.dimension))._add((xexp, ()), -coeff)
     return components
@@ -438,21 +429,27 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
 
 
 def _flow(
-    gamma: GraphSum,
-    d: int,
-    args_for: Callable[[UnorientedGraph], Sequence[Multivector]],
+    gamma: GraphSum, p: Multivector, direction: Multivector | None = None
 ) -> Multivector:
-    total = Multivector(d)
+    """The flow of ``gamma`` at ``p``, or its derivative along ``direction``."""
+    total = Multivector(p.dimension)
+    if direction is not None and not direction:
+        return total
     for graph, coeff in gamma.items():
-        total._add_sum(or_evaluate_algebraic(graph, args_for(graph)), coeff)
+        n = graph.vertex_count
+        if direction is None:
+            args, weight = [p] * n, coeff
+        else:
+            args, weight = [direction] + [p] * (n - 1), n * coeff
+        total._add_sum(or_evaluate_algebraic(graph, args), weight)
     return total
 
 
-def _uniform_vertex_count(gamma: GraphSum) -> int:
-    counts = {graph.vertex_count for graph, _ in gamma.items()}
-    if len(counts) != 1:
+def _check_flow_sum(gamma: GraphSum) -> None:
+    if not gamma:
+        raise MultivectorError("empty graph sum")
+    if len({graph.vertex_count for graph, _ in gamma.items()}) != 1:
         raise MultivectorError("graph sum must be vertex-homogeneous")
-    return counts.pop()
 
 
 def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
@@ -460,24 +457,16 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
 
     Orienting the bracket of the single edge with the sum and evaluating on
     copies of the bivector must equal twice the Schouten bracket of the
-    bivector with the evaluated flow, minus the flow re-evaluated with the
-    bivector's self-bracket substituted once into each argument slot.
+    bivector with the evaluated flow, minus the flow linearised along the
+    bivector's self-bracket.
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
     gamma = _as_sum(gamma)
-    if not gamma:
-        raise MultivectorError("empty graph sum")
-    n = _uniform_vertex_count(gamma)
-    d = p.dimension
-
-    lhs = _flow(differential(gamma), d, lambda graph: [p] * graph.vertex_count)
-    flow = _flow(gamma, d, lambda graph: [p] * n)
-    jac = schouten(p, p)
-    rhs = 2 * schouten(p, flow)
-    if jac:
-        rhs._add_sum(_flow(gamma, d, lambda graph: [jac] + [p] * (n - 1)), -n)
-    return lhs == rhs
+    _check_flow_sum(gamma)
+    rhs = 2 * schouten(p, _flow(gamma, p))
+    rhs._add_sum(_flow(gamma, p, schouten(p, p)), -1)
+    return _flow(differential(gamma), p) == rhs
 
 
 def flow_commutator_check(
@@ -487,28 +476,17 @@ def flow_commutator_check(
 ) -> bool:
     """Check that the graph bracket matches the commutator of the two flows.
 
-    The commutator is the antisymmetrized linearisation: each flow is
-    substituted once into every argument slot of the other.
+    The commutator is the antisymmetrized linearisation: each flow is the
+    direction along which the other is linearised.
     """
     gamma1 = _as_sum(gamma1)
     gamma2 = _as_sum(gamma2)
     if not gamma1 or not gamma2:
         raise MultivectorError("empty graph sum")
-    n1 = _uniform_vertex_count(gamma1)
-    n2 = _uniform_vertex_count(gamma2)
-    d = p.dimension
-
-    q1 = _flow(gamma1, d, lambda graph: [p] * n1)
-    q2 = _flow(gamma2, d, lambda graph: [p] * n2)
-
-    def linearised(gamma: GraphSum, n: int, direction: Multivector) -> Multivector:
-        if not direction:
-            return Multivector(d)
-        return n * _flow(gamma, d, lambda graph: [direction] + [p] * (n - 1))
-
-    lhs = linearised(gamma2, n2, q1) - linearised(gamma1, n1, q2)
-    rhs = _flow(bracket(gamma1, gamma2), d, lambda graph: [p] * graph.vertex_count)
-    return lhs == rhs
+    _check_flow_sum(gamma1)
+    _check_flow_sum(gamma2)
+    lhs = _flow(gamma2, p, _flow(gamma1, p)) - _flow(gamma1, p, _flow(gamma2, p))
+    return lhs == _flow(bracket(gamma1, gamma2), p)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
 from .graphs import _minimal_labelings
-from .complexes import GraphSum, _Sum, _sum_lines
+from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
 __all__ = [
     "Orgraph",
@@ -84,11 +84,8 @@ class Orgraph:
     def internal_count(self) -> int:
         return len(self.targets)
 
-    def flattened(self) -> tuple[int, ...]:
-        return tuple(t for pair in self.targets for t in pair)
-
     def sort_key(self) -> tuple:
-        return (self.sink_count, len(self.targets), self.flattened())
+        return (self.sink_count, len(self.targets), self.targets)
 
     def __repr__(self) -> str:
         pairs = ";".join(f"{a},{b}" for a, b in self.targets)
@@ -859,18 +856,7 @@ def _parse_orgraph_body(body: str, lineno: int | None) -> Orgraph:
         s = int(fields[2]) if len(fields) == 3 else 2
     except ValueError:
         raise ParseError("vertex/sink counts must be integers", lineno) from None
-    pairs = []
-    for chunk in pair_part.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lr = chunk.split()
-        if len(lr) != 2:
-            raise ParseError(f"bad target pair {chunk!r}", lineno)
-        try:
-            pairs.append((int(lr[0]), int(lr[1])))
-        except ValueError:
-            raise ParseError(f"bad target pair {chunk!r}", lineno) from None
+    pairs = _int_pairs(pair_part, ";", "target pair", lineno)
     if len(pairs) != n:
         raise ParseError(f"expected {n} target pairs, found {len(pairs)}", lineno)
     try:

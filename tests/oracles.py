@@ -11,9 +11,11 @@ subset of ``edge_count`` vertex pairs, kept unchanged from
 ``gckit.complexes.cocycle_kernel`` apart from returning the basis.
 
 The flow kernels are the two-pass edge operator, the direct evaluator
-that enumerates every tuple of index pairs before it prunes, and the
-algebraic evaluator's placement loop over all ``n!`` permutations, all kept
-unchanged from ``gckit.multivectors``.
+that enumerates every tuple of index pairs before it prunes, the algebraic
+evaluator's placement loop over all ``n!`` permutations, and its placement
+of the arguments by one ``multivector_product`` per vertex followed by a
+range-checked restriction to the diagonal, all kept unchanged from
+``gckit.multivectors``.
 
 The tests compare the fast code with these on random inputs.
 """
@@ -37,6 +39,7 @@ from gckit.multivectors import (
     Multivector,
     MultivectorError,
     _constant,
+    _edge_operator,
     _evaluate_ordered,
     _is_odd_argument,
     multivector_product,
@@ -307,3 +310,37 @@ def or_evaluate_algebraic(
             cache[signature] = _evaluate_ordered(graph, reordered, d)
         total += cache[signature]
     return total * Fraction(1, math.factorial(n))
+
+
+def _placed(mv: Multivector, copy: int, copies: int) -> Multivector:
+    d = mv.dimension
+    out = Multivector(copies * d)
+    for (xexp, xis), coeff in mv._terms.items():
+        big_x = [0] * (copies * d)
+        big_x[copy * d: (copy + 1) * d] = xexp
+        out._add((tuple(big_x), tuple(copy * d + i for i in xis)), coeff)
+    return out
+
+
+def _diagonal(big: Multivector, copies: int, d: int) -> Multivector:
+    out = Multivector(d)
+    for (big_x, big_xis), coeff in big._terms.items():
+        xexp = tuple(
+            sum(big_x[copy * d + alpha] for copy in range(copies))
+            for alpha in range(d)
+        )
+        out.add_term(xexp, tuple(i % d for i in big_xis), coeff)
+    return out
+
+
+def evaluate_ordered(
+    graph: UnorientedGraph, placed_args: Sequence[Multivector], d: int
+) -> Multivector:
+    """Edge-operator product with placed_args[i] sitting at vertex i+1."""
+    n = graph.vertex_count
+    big = _constant(n * d, 1)
+    for vertex, mv in enumerate(placed_args):
+        big = multivector_product(big, _placed(mv, vertex, n))
+    for u, v in graph.edges:
+        big = _edge_operator(big, u - 1, v - 1, d)
+    return _diagonal(big, n, d)

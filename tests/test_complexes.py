@@ -206,3 +206,16 @@ class TestSumTextFormat:
     def test_bad_body(self):
         with pytest.raises(ParseError):
             parse_graph_sum("2 * g 2 1 : 1\n")
+        for body, message in [
+            ("g 2 1 : 1", "bad edge '1'"),
+            ("g 3 2 : 1 2, 2 3 1", "bad edge '2 3 1'"),
+            ("g 2 1 : 1 b", "bad edge '1 b'"),
+            ("g 2 1 : , 1 2,,", None),
+            ("g 3 2 : 1 2", "expected 2 edges, found 1"),
+        ]:
+            text = f"# sum\n2 * {body}\n"
+            if message is None:
+                assert len(parse_graph_sum(text)) == 1
+                continue
+            with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+                parse_graph_sum(text)

@@ -414,10 +414,31 @@ class TestIdentities:
         with pytest.raises(MultivectorError, match="empty graph sum"):
             verify_corollary(GraphSum(), cubic3)
 
-    def test_flow_commutators(self, edge, tetra, so3, sym2):
+    def test_flow_commutators(self, edge, tetra, so3, sym2, cubic3):
         assert flow_commutator_check(tetra, tetra, so3)
         assert flow_commutator_check(edge, tetra, so3)
         assert flow_commutator_check(edge, edge, sym2)
+        # Both flows vanish on so3 and sym2, so only cubic3 linearises each
+        # flow along a nonzero direction.
+        assert or_evaluate_algebraic(edge, [cubic3] * 2)
+        assert or_evaluate_algebraic(tetra, [cubic3] * 4)
+        assert flow_commutator_check(edge, edge, cubic3)
+        assert flow_commutator_check(edge, tetra, cubic3)
+
+    def test_checks_reject_vertex_inhomogeneous_sums(self, edge, tetra, so3):
+        mixed = GraphSum([(edge, 1), (tetra, 1)])
+        with pytest.raises(MultivectorError, match="vertex-homogeneous"):
+            verify_corollary(mixed, so3)
+        with pytest.raises(MultivectorError, match="vertex-homogeneous"):
+            flow_commutator_check(mixed, tetra, so3)
+        with pytest.raises(MultivectorError, match="vertex-homogeneous"):
+            flow_commutator_check(tetra, mixed, so3)
+
+    def test_commutator_rejects_empty_sums_first(self, edge, tetra, so3):
+        mixed = GraphSum([(edge, 1), (tetra, 1)])
+        for gamma1, gamma2 in ((GraphSum(), tetra), (tetra, GraphSum()), (mixed, GraphSum())):
+            with pytest.raises(MultivectorError, match="empty graph sum"):
+                flow_commutator_check(gamma1, gamma2, so3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ built the kernel basis, compared exhaustively with the edge-by-edge
 generation on small bidegrees, and the two-pass edge operator and the direct
 evaluator that enumerates every index tuple, which are compared with the
 one-pass edge operator and the vertex-by-vertex evaluator on random
-multivectors, graphs, orgraphs and bivectors, and the placement loop over
+multivectors, graphs, orgraphs and bivectors, the placement loop over
 all ``n!`` permutations, compared with the average over distinct
-arrangements on graphs with at most four vertices.
+arrangements on graphs with at most four vertices, and the placement by
+repeated products, compared with the one tensor product on the same graphs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import gckit.complexes as complexes
 import gckit.multivectors as mv
 import oracles
 from gckit import (
+    Multivector,
     automorphisms,
     canonicalize,
     new_graph,
@@ -201,3 +203,27 @@ def test_placement_average_matches_oracle(data, kind):
         for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)):
             args[i] = b
     assert or_evaluate_algebraic(graph, args) == oracles.or_evaluate_algebraic(graph, args)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_tensor_product_placement_matches_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = new_graph(n, edges)
+    d = data.draw(st.integers(1, 3))
+    even = [0, 2] if d > 1 else [0]
+    args = [
+        data.draw(multivectors(d, data.draw(st.sampled_from(even))).filter(bool))
+        for _ in range(n)
+    ]
+    # One odd argument, with non-integral coefficients, at a random vertex.
+    odd = data.draw(st.sampled_from([k for k in (1, 3) if k <= d]))
+    vertices = data.draw(st.permutations(range(n)))
+    args[vertices[0]] = data.draw(multivectors(d, odd, NON_INTEGRAL).filter(bool))
+    assert mv._evaluate_ordered(graph, args, d) == oracles.evaluate_ordered(graph, args, d)
+    if n > 1:
+        args[vertices[1]] = Multivector(d)
+        zero = oracles.evaluate_ordered(graph, args, d)
+        assert mv._evaluate_ordered(graph, args, d) == zero == Multivector(d)

@@ -476,3 +476,12 @@ class TestOrgraphTextFormat:
             parse_orgraph_sum("one * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3")
         with pytest.raises(ParseError, match="exactly one orgraph line"):
             parse_orgraph("o 2 3 : 0 1 ; 2 3\no 2 3 : 0 1 ; 2 3")
+        for body, message in [
+            ("o 2 : 0 1 ; 2", "bad target pair '2'"),
+            ("o 2 : 0 1 ; 0 1 2", "bad target pair '0 1 2'"),
+            ("o 2 : 0 x ; 0 2", "bad target pair '0 x'"),
+            ("o 2 : 0 1", "expected 2 target pairs, found 1"),
+        ]:
+            with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+                parse_orgraph_sum(f"\n1 * {body}")
+        assert parse_orgraph("o 2 : 0 1 ;; 0 2 ;") == parse_orgraph("o 2 : 0 1 ; 0 2")

@@ -1,9 +1,13 @@
-"""The package namespace re-exports every module's public names."""
+"""The package namespace re-exports every module's public names, and no
+module keeps an unused import or an unreferenced private helper."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +35,47 @@ def test_package_all_is_the_union_of_the_modules():
 def test_orient_is_the_orientation_morphism():
     assert inspect.isfunction(gckit.orient)
     assert gckit.orient is importlib.import_module("gckit.orient").orient
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gckit").glob("*.py"))
+
+
+def _module_level_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's own import statements."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    names.append(alias.asname or alias.name.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _module_level_imports(tree) if name not in used]
+    assert not unused, f"{path.name} never uses {unused}"
+
+
+def test_every_private_helper_is_referenced():
+    texts = [
+        path.read_text()
+        for folder in ("src/gckit", "tests", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    unreferenced = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            word = re.compile(rf"(?<!\w){re.escape(node.name)}(?!\w)")
+            if sum(len(word.findall(text)) for text in texts) == 1:
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreferenced, unreferenced
