@@ -479,6 +479,8 @@ def flow_commutator_check(
     The commutator is the antisymmetrized linearisation: each flow is the
     direction along which the other is linearised.
     """
+    if not is_bivector(p):
+        raise MultivectorError("bivector required")
     gamma1 = _as_sum(gamma1)
     gamma2 = _as_sum(gamma2)
     if not gamma1 or not gamma2:

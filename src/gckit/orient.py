@@ -114,8 +114,8 @@ def new_orgraph(
     return Orgraph(sink_count, pairs)
 
 
-def _sink_emitters(g: Orgraph) -> tuple[int, int]:
-    """Indices of the internal vertices emitting into sinks 0 and 1."""
+def shape(g: Orgraph) -> str:
+    """``"Lambda"`` if one vertex emits both sink arrows, else ``"Pi"``."""
     if g.sink_count != 2:
         raise OrgraphError("not a bivector orgraph: needs exactly 2 sinks")
     emitters = []
@@ -124,22 +124,15 @@ def _sink_emitters(g: Orgraph) -> tuple[int, int]:
         if len(hits) != 1 or g.targets[hits[0]].count(label) != 1:
             raise OrgraphError(f"sink {label} must receive exactly one arrow")
         emitters.append(hits[0])
-    return emitters[0], emitters[1]
-
-
-def shape(g: Orgraph) -> str:
-    """``"Lambda"`` if one vertex emits both sink arrows, else ``"Pi"``."""
-    e0, e1 = _sink_emitters(g)
-    return "Lambda" if e0 == e1 else "Pi"
+    return "Lambda" if emitters[0] == emitters[1] else "Pi"
 
 
 def sink_swap(g: Orgraph) -> Orgraph:
     """Exchange the two sink labels, keeping every pair's order."""
     if g.sink_count != 2:
         raise OrgraphError("sink swap needs exactly 2 sinks")
-    flip = {0: 1, 1: 0}
     return Orgraph(
-        2, tuple(tuple(flip.get(t, t) for t in pair) for pair in g.targets)
+        2, tuple(tuple(1 - t if t < 2 else t for t in pair) for pair in g.targets)
     )
 
 
@@ -237,8 +230,7 @@ class OrientationWitness:
         """
         s = self.sink_count
         out = [[(k, k) for k in ks] for ks in self.sinks]
-        for i, (u, v) in enumerate(self.graph.edges):
-            tail, head = (v, u) if (self.mask >> i) & 1 else (u, v)
+        for i, (tail, head) in enumerate(_directed(self.graph.edges, self.mask)):
             out[tail - 1].append((s + i, head + s - 1))
         ids, targets = zip(*(item for items in out for item in items))
         return ids, targets
@@ -265,14 +257,19 @@ class OrientationWitness:
         """The witness with sink labels 0 and 1 exchanged."""
         if self.sink_count != 2:
             raise OrgraphError("sink swap needs exactly 2 sinks")
-        flip = {0: 1, 1: 0}
-        swapped = tuple(
-            tuple(sorted(flip[k] for k in ks)) for ks in self.sinks
-        )
+        swapped = tuple(tuple(sorted(1 - k for k in ks)) for ks in self.sinks)
         return OrientationWitness(self.graph, 2, self.mask, swapped)
 
     def sort_key(self) -> tuple:
         return (self.mask, self.sinks)
+
+
+def _directed(
+    edges: Iterable[tuple[int, int]], mask: int
+) -> Iterator[tuple[int, int]]:
+    """``(tail, head)`` of each edge ``(u, v)``: from ``v`` when bit ``i`` is set."""
+    for i, (u, v) in enumerate(edges):
+        yield (v, u) if (mask >> i) & 1 else (u, v)
 
 
 def _label_distributions(
@@ -290,23 +287,15 @@ def _label_distributions(
             yield (chosen,) + tail
 
 
-def enumerate_orientations(
-    g: UnorientedGraph, sink_count: int | None = None
-) -> list[OrientationWitness]:
+def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
     """All orientation witnesses of ``g``.
 
     Every vertex must emit exactly two items, so the number of sinks is
-    forced to ``2n - e``; passing a different ``sink_count`` is an error.
-    Sink labels are distributed over the deficient vertices in every
-    possible way, each distribution a separate witness.
+    forced to ``2n - e``.  Sink labels are distributed over the deficient
+    vertices in every possible way, each distribution a separate witness.
     """
     n, e = g.vertex_count, g.edge_count
     s = 2 * n - e
-    if sink_count is not None and sink_count != s:
-        raise OrgraphError(
-            f"graph with {n} vertices and {e} edges needs {s} sinks,"
-            f" got {sink_count}"
-        )
     if s < 0:
         return []
     labels = tuple(range(s))
@@ -463,55 +452,28 @@ def elementary_moves(
     between the traded ids in the global item order.  Yields (target
     witness, predicted parity ratio) pairs.
     """
-    g = w.graph
     s = w.sink_count
 
-    def traded(v1: int, id1: int, v2: int, id2: int, sinks2) -> tuple:
+    def traded(v1: int, id1: int, v2: int, id2: int, mask: int) -> tuple:
+        """Item ``id1`` moves from ``v1`` to ``v2`` and ``id2`` the other way."""
         lo, hi = min(id1, id2), max(id1, id2)
         sign = -1
-        for v, moved in ((v1, id1), (v2, id2)):
-            other = next(iid for iid, _ in w.items(v) if iid != moved)
+        sinks = list(w.sinks)
+        for v, gone, come in ((v1, id1, id2), (v2, id2, id1)):
+            other = next(iid for iid, _ in w.items(v) if iid != gone)
             if lo < other < hi:
                 sign = -sign
-        return sign, tuple(tuple(sorted(x)) for x in sinks2)
+            kept = [k for k in sinks[v - 1] if k != gone]
+            sinks[v - 1] = tuple(sorted(kept + [come] if come < s else kept))
+        return OrientationWitness(w.graph, s, mask, tuple(sinks)), sign
 
-    for i, (a, b) in enumerate(g.edges):
-        bit = (w.mask >> i) & 1
-        tail, head = (a, b) if bit == 0 else (b, a)
-        eid = s + i
+    for i, (tail, head) in enumerate(_directed(w.graph.edges, w.mask)):
         for k in w.sinks[head - 1]:
-            sinks2 = list(map(list, w.sinks))
-            sinks2[head - 1].remove(k)
-            sinks2[tail - 1].append(k)
-            sign, sinks2 = traded(tail, eid, head, k, sinks2)
-            yield (
-                OrientationWitness(
-                    graph=g, sink_count=s, mask=w.mask ^ (1 << i), sinks=sinks2
-                ),
-                sign,
-            )
-    hosts = {
-        k: v
-        for v in range(1, g.vertex_count + 1)
-        for k in w.sinks[v - 1]
-    }
-    for k1 in range(s):
-        for k2 in range(k1 + 1, s):
-            h1, h2 = hosts[k1], hosts[k2]
-            if h1 == h2:
-                continue
-            sinks2 = list(map(list, w.sinks))
-            sinks2[h1 - 1].remove(k1)
-            sinks2[h1 - 1].append(k2)
-            sinks2[h2 - 1].remove(k2)
-            sinks2[h2 - 1].append(k1)
-            sign, sinks2 = traded(h1, k1, h2, k2, sinks2)
-            yield (
-                OrientationWitness(
-                    graph=g, sink_count=s, mask=w.mask, sinks=sinks2
-                ),
-                sign,
-            )
+            yield traded(tail, s + i, head, k, w.mask ^ (1 << i))
+    hosts = {k: v for v, ks in enumerate(w.sinks, 1) for k in ks}
+    for k1, k2 in combinations(range(s), 2):
+        if hosts[k1] != hosts[k2]:
+            yield traded(hosts[k1], k1, hosts[k2], k2, w.mask)
 
 
 def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
@@ -521,48 +483,42 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
     coefficients related by minus the swap's normalization sign; otherwise
     :class:`SkewSymmetryError` is raised.  Lambda terms are their own
     partners (swapping the two sink labels only swaps one pair, which is the
-    sign the pairing contract expects) and pass through unchanged.  Of each
-    Pi pair the lexicographically smaller encoding is kept.
+    sign the pairing contract expects) and pass through unchanged.  Terms
+    are read in key order, so of each Pi pair the smaller encoding comes
+    first: it is kept, and its partner is skipped.
     """
     out = OrgraphSum()
-    done: set[Orgraph] = set()
+    partners: set[Orgraph] = set()
     for key, q in s.items():
-        if key in done:
+        if key in partners:
             continue
-        done.add(key)
-        if shape(key) == "Lambda":
-            out._add(key, q)
-            continue
-        norm = normalize_orgraph(sink_swap(key))
-        if norm.is_zero:
-            raise SkewSymmetryError(
-                f"skew-symmetry violated: sink swap of {key!r} is a zero orgraph"
-            )
-        partner, rho = norm.orgraph, norm.sign
-        if partner == key:
-            if rho != -1:
+        if shape(key) == "Pi":
+            norm = normalize_orgraph(sink_swap(key))
+            if norm.is_zero:
                 raise SkewSymmetryError(
-                    f"skew-symmetry violated: self-paired term {key!r} with"
-                    " even swap sign"
+                    f"skew-symmetry violated: sink swap of {key!r} is a zero orgraph"
                 )
-            out._add(key, q)
-            continue
-        q2 = s._terms.get(partner, 0)
-        if q2 == 0:
-            raise SkewSymmetryError(
-                f"skew-symmetry violated: term {key!r} has no sink-swapped"
-                " partner"
-            )
-        if q2 != -rho * q:
-            raise SkewSymmetryError(
-                f"skew-symmetry violated: {key!r} and its partner have"
-                " incompatible coefficients"
-            )
-        done.add(partner)
-        if key.sort_key() < partner.sort_key():
-            out._add(key, q)
-        else:
-            out._add(partner, q2)
+            partner, rho = norm.orgraph, norm.sign
+            if partner == key:
+                if rho != -1:
+                    raise SkewSymmetryError(
+                        f"skew-symmetry violated: self-paired term {key!r} with"
+                        " even swap sign"
+                    )
+            else:
+                q2 = s._terms.get(partner, 0)
+                if q2 == 0:
+                    raise SkewSymmetryError(
+                        f"skew-symmetry violated: term {key!r} has no"
+                        " sink-swapped partner"
+                    )
+                if q2 != -rho * q:
+                    raise SkewSymmetryError(
+                        f"skew-symmetry violated: {key!r} and its partner have"
+                        " incompatible coefficients"
+                    )
+                partners.add(partner)
+        out._add(key, q)
     return out
 
 

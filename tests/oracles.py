@@ -17,6 +17,12 @@ of the arguments by one ``multivector_product`` per vertex followed by a
 range-checked restriction to the diagonal, all kept unchanged from
 ``gckit.multivectors``.
 
+The witness moves are the two-loop ``elementary_moves``, which rebuilds the
+sink lists and the target witness once per kind of move, and the
+``fold_sink_swap`` that compared each Pi pair's sort keys and could add the
+partner in place of the term, both kept unchanged from ``gckit.orient``
+apart from the name under which the fold imports ``normalize_orgraph``.
+
 The tests compare the fast code with these on random inputs.
 """
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from gckit.graphs import (
     Edge,
@@ -46,7 +52,16 @@ from gckit.multivectors import (
     x_derivative,
     xi_derivative,
 )
-from gckit.orient import NormalizedOrgraph, Orgraph
+from gckit.orient import (
+    NormalizedOrgraph,
+    Orgraph,
+    OrgraphSum,
+    OrientationWitness,
+    SkewSymmetryError,
+    normalize_orgraph as fast_normalize_orgraph,
+    shape,
+    sink_swap,
+)
 
 
 def _relative_sign(src: Sequence, dst: Sequence) -> int:
@@ -344,3 +359,120 @@ def evaluate_ordered(
     for u, v in graph.edges:
         big = _edge_operator(big, u - 1, v - 1, d)
     return _diagonal(big, n, d)
+
+
+def elementary_moves(
+    w: OrientationWitness,
+) -> Iterator[tuple[OrientationWitness, int]]:
+    """Admissible single transitions from a witness, with rule-derived signs.
+
+    Two kinds of move are admissible: reversing one body arrow whose head
+    hosts a sink, transporting that sink label to the old tail, and
+    exchanging two sink labels hosted at distinct vertices.  Either way two
+    item ids trade places between two vertices, which flips the readout
+    parity once, dressed by one extra flip per companion item lying strictly
+    between the traded ids in the global item order.  Yields (target
+    witness, predicted parity ratio) pairs.
+    """
+    g = w.graph
+    s = w.sink_count
+
+    def traded(v1: int, id1: int, v2: int, id2: int, sinks2) -> tuple:
+        lo, hi = min(id1, id2), max(id1, id2)
+        sign = -1
+        for v, moved in ((v1, id1), (v2, id2)):
+            other = next(iid for iid, _ in w.items(v) if iid != moved)
+            if lo < other < hi:
+                sign = -sign
+        return sign, tuple(tuple(sorted(x)) for x in sinks2)
+
+    for i, (a, b) in enumerate(g.edges):
+        bit = (w.mask >> i) & 1
+        tail, head = (a, b) if bit == 0 else (b, a)
+        eid = s + i
+        for k in w.sinks[head - 1]:
+            sinks2 = list(map(list, w.sinks))
+            sinks2[head - 1].remove(k)
+            sinks2[tail - 1].append(k)
+            sign, sinks2 = traded(tail, eid, head, k, sinks2)
+            yield (
+                OrientationWitness(
+                    graph=g, sink_count=s, mask=w.mask ^ (1 << i), sinks=sinks2
+                ),
+                sign,
+            )
+    hosts = {
+        k: v
+        for v in range(1, g.vertex_count + 1)
+        for k in w.sinks[v - 1]
+    }
+    for k1 in range(s):
+        for k2 in range(k1 + 1, s):
+            h1, h2 = hosts[k1], hosts[k2]
+            if h1 == h2:
+                continue
+            sinks2 = list(map(list, w.sinks))
+            sinks2[h1 - 1].remove(k1)
+            sinks2[h1 - 1].append(k2)
+            sinks2[h2 - 1].remove(k2)
+            sinks2[h2 - 1].append(k1)
+            sign, sinks2 = traded(h1, k1, h2, k2, sinks2)
+            yield (
+                OrientationWitness(
+                    graph=g, sink_count=s, mask=w.mask, sinks=sinks2
+                ),
+                sign,
+            )
+
+
+
+def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
+    """Collapse each mutually sink-swapped pair of Pi terms to one term.
+
+    Every Pi term must occur together with its sink-swapped partner, with
+    coefficients related by minus the swap's normalization sign; otherwise
+    :class:`SkewSymmetryError` is raised.  Lambda terms are their own
+    partners (swapping the two sink labels only swaps one pair, which is the
+    sign the pairing contract expects) and pass through unchanged.  Of each
+    Pi pair the lexicographically smaller encoding is kept.
+    """
+    out = OrgraphSum()
+    done: set[Orgraph] = set()
+    for key, q in s.items():
+        if key in done:
+            continue
+        done.add(key)
+        if shape(key) == "Lambda":
+            out._add(key, q)
+            continue
+        norm = fast_normalize_orgraph(sink_swap(key))
+        if norm.is_zero:
+            raise SkewSymmetryError(
+                f"skew-symmetry violated: sink swap of {key!r} is a zero orgraph"
+            )
+        partner, rho = norm.orgraph, norm.sign
+        if partner == key:
+            if rho != -1:
+                raise SkewSymmetryError(
+                    f"skew-symmetry violated: self-paired term {key!r} with"
+                    " even swap sign"
+                )
+            out._add(key, q)
+            continue
+        q2 = s._terms.get(partner, 0)
+        if q2 == 0:
+            raise SkewSymmetryError(
+                f"skew-symmetry violated: term {key!r} has no sink-swapped"
+                " partner"
+            )
+        if q2 != -rho * q:
+            raise SkewSymmetryError(
+                f"skew-symmetry violated: {key!r} and its partner have"
+                " incompatible coefficients"
+            )
+        done.add(partner)
+        if key.sort_key() < partner.sort_key():
+            out._add(key, q)
+        else:
+            out._add(partner, q2)
+    return out

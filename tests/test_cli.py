@@ -47,6 +47,47 @@ def _rules_input(name: str) -> Path:
     raise FileNotFoundError(name)
 
 
+# Frozen stdout and exit codes of every verb on every ``data/`` input: per
+# graph ``d``, ``cocycle``, ``orient``, ``orient --reduce``, and ``fold`` of
+# that graph's ``orient`` golden (``edge`` has 3 sinks, so its ``fold`` exits
+# 2; ``path3`` is a zero graph, so its ``orient`` is empty and so is its
+# ``fold``); ``verify-corollary`` per graph and bivector,
+# except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each); and
+# ``schouten`` per ordered pair of bivectors.
+VERBS_GOLDEN = ROOT / "tests" / "golden" / "verbs"
+VERBS_EXIT_CODES = json.loads(
+    (VERBS_GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
+)
+SLOW_COROLLARIES = {("wheel5", "cubic3"), ("companion5", "cubic3")}
+
+
+def verb_cases() -> dict[str, list[str]]:
+    """Argument lists of the ``verbs`` goldens, keyed by case name."""
+    data = ROOT / "data"
+    graphs = sorted(path.stem for path in data.glob("*.g"))
+    bivectors = sorted(path.stem for path in data.glob("*.poisson"))
+    cases: dict[str, list[str]] = {}
+    for g in graphs:
+        graph = str(data / f"{g}.g")
+        cases[f"d-{g}"] = ["d", graph]
+        cases[f"cocycle-{g}"] = ["cocycle", graph]
+        cases[f"orient-{g}"] = ["orient", graph]
+        cases[f"orient-reduce-{g}"] = ["orient", "--reduce", graph]
+        cases[f"fold-{g}"] = ["fold", str(VERBS_GOLDEN / f"orient-{g}.out")]
+        for p in bivectors:
+            if (g, p) not in SLOW_COROLLARIES:
+                cases[f"corollary-{g}-{p}"] = [
+                    "verify-corollary", "--graph", graph,
+                    "--poisson", str(data / f"{p}.poisson"),
+                ]
+    for f in bivectors:
+        for h in bivectors:
+            cases[f"schouten-{f}-{h}"] = [
+                "schouten", str(data / f"{f}.poisson"), str(data / f"{h}.poisson")
+            ]
+    return cases
+
+
 TETRA_REDUCED = """\
 1 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
 -3 * o 4 : 0 3 ; 1 4 ; 2 5 ; 2 3
@@ -232,6 +273,19 @@ class TestBenchmarkGoldens:
         code, out, _ = cli(*argv)
         assert code == EXIT_CODES[op]
         assert out.encode("utf-8") == (GOLDEN / f"{op}.out").read_bytes()
+
+
+class TestVerbGoldens:
+    """Every verb on every ``data/`` input prints its golden bytes."""
+
+    def test_cases_match_the_goldens(self):
+        assert sorted(verb_cases()) == sorted(VERBS_EXIT_CODES)
+
+    @pytest.mark.parametrize("case", sorted(VERBS_EXIT_CODES))
+    def test_matches_golden(self, cli, case):
+        code, out, _ = cli(*verb_cases()[case])
+        assert code == VERBS_EXIT_CODES[case]
+        assert out.encode("utf-8") == (VERBS_GOLDEN / f"{case}.out").read_bytes()
 
 
 class TestOrient:

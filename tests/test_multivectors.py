@@ -405,10 +405,12 @@ class TestIdentities:
         s = GraphSum([(tetra, Fraction(2))])
         assert verify_corollary(s, cubic3)
 
-    def test_corollary_requires_a_bivector(self, tetra):
-        for text in ("x1*xi1*xi2 + x2", "x1*xi1"):
+    def test_corollary_requires_a_bivector(self, edge, tetra):
+        for text in ("x1*xi1*xi2 + x2", "x1*xi1", "1 + x1*x2*xi1*xi2"):
             with pytest.raises(MultivectorError, match="bivector required"):
                 verify_corollary(tetra, mv(text, 2))
+            with pytest.raises(MultivectorError, match="bivector required"):
+                flow_commutator_check(edge, edge, mv(text, 2))
 
     def test_corollary_rejects_empty_sum(self, cubic3):
         with pytest.raises(MultivectorError, match="empty graph sum"):

@@ -12,12 +12,17 @@ multivectors, graphs, orgraphs and bivectors, the placement loop over
 all ``n!`` permutations, compared with the average over distinct
 arrangements on graphs with at most four vertices, and the placement by
 repeated products, compared with the one tensor product on the same graphs.
+The two-loop elementary moves are compared, order included, with the one
+trade on every witness of the rules-check corpus, and the fold that could
+keep either member of a Pi pair with the fold that keeps the first, on the
+two-sink graphs there and on randomly perturbed orientations.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -35,6 +40,15 @@ from gckit import (
     new_orgraph,
     normalize_orgraph,
     or_evaluate_algebraic,
+    orient,
+    parse_graph,
+)
+from gckit.orient import (
+    OrgraphSum,
+    SkewSymmetryError,
+    elementary_moves,
+    enumerate_orientations,
+    fold_sink_swap,
 )
 from test_multivectors import COEFFICIENTS, multivectors
 
@@ -227,3 +241,63 @@ def test_tensor_product_placement_matches_oracle(data):
         args[vertices[1]] = Multivector(d)
         zero = oracles.evaluate_ordered(graph, args, d)
         assert mv._evaluate_ordered(graph, args, d) == zero == Multivector(d)
+
+
+# ---------------------------------------------------------------------------
+# Witness moves and the sink-swap fold
+
+ROOT = Path(__file__).resolve().parent.parent
+MOVE_GRAPHS = {
+    path.stem: parse_graph(path.read_text(encoding="utf-8"))
+    for path in [
+        *sorted((ROOT / "tests" / "golden" / "rules-check" / "inputs").glob("*.g")),
+        *sorted((ROOT / "data").glob("*.g")),
+        ROOT / "perfbench" / "inputs" / "wheel7.g",
+    ]
+}
+TWO_SINK_GRAPHS = sorted(
+    name for name, g in MOVE_GRAPHS.items() if 2 * g.vertex_count - g.edge_count == 2
+)
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_GRAPHS))
+def test_elementary_moves_match_oracle(name):
+    # Same targets, signs and order, for every witness of the graph.
+    for w in enumerate_orientations(MOVE_GRAPHS[name]):
+        assert list(elementary_moves(w)) == list(oracles.elementary_moves(w))
+
+
+def _folded(fold, s: OrgraphSum):
+    """The fold's terms in print order, or its ``SkewSymmetryError`` message."""
+    try:
+        return list(fold(s).items())
+    except SkewSymmetryError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", TWO_SINK_GRAPHS)
+def test_fold_matches_oracle(name):
+    s = orient(MOVE_GRAPHS[name])
+    assert _folded(fold_sink_swap, s) == _folded(oracles.fold_sink_swap, s)
+
+
+FOLD_SOURCES = {name: orient(MOVE_GRAPHS[name]) for name in ("tetra", "wheel5")}
+
+
+@given(
+    data=st.data(),
+    source=st.sampled_from(sorted(FOLD_SOURCES)),
+    change=st.sampled_from(["drop", "scale", "negate"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_perturbed_fold_matches_oracle(data, source, change):
+    terms = FOLD_SOURCES[source].items()
+    k = data.draw(st.integers(0, len(terms) - 1))
+    if change == "scale":
+        factor = data.draw(COEFFICIENTS.filter(lambda c: c not in (0, 1)))
+    else:
+        factor = 0 if change == "drop" else -1
+    s = OrgraphSum()
+    for i, (key, q) in enumerate(terms):
+        s.add_orgraph(key, q * factor if i == k else q)
+    assert _folded(fold_sink_swap, s) == _folded(oracles.fold_sink_swap, s)
