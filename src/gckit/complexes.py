@@ -51,6 +51,16 @@ def _exact(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
+def _add_multiple(terms: dict, other: dict, factor: Rational) -> None:
+    """Accumulate ``factor`` times ``other`` into ``terms``, dropping cancelled keys."""
+    for key, coeff in other.items():
+        value = terms.get(key, 0) + coeff * factor
+        if value:
+            terms[key] = _exact(value)
+        else:
+            terms.pop(key, None)
+
+
 class _Sum:
     """A finite exact linear combination of normalized elements.
 
@@ -93,8 +103,7 @@ class _Sum:
 
     def _add_sum(self, other: "_Sum", factor: Rational = 1) -> None:
         """Accumulate ``factor`` times another sum of the same kind."""
-        for key, coeff in other._terms.items():
-            self._add(key, coeff * factor)
+        _add_multiple(self._terms, other._terms, factor)
 
     def items(self) -> list[tuple[Hashable, Rational]]:
         """Terms sorted by key, each a ``(representative, coefficient)`` pair."""
@@ -259,69 +268,59 @@ def is_cocycle(x: Union[UnorientedGraph, GraphSum]) -> bool:
     return not differential(x)
 
 
-def _nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a rational matrix (Gauss-Jordan).
+def _nullspace(columns: Iterable[dict[Hashable, Rational]]) -> list[dict[int, Fraction]]:
+    """Basis of the kernel of a sparse rational matrix, by exact elimination.
 
-    The entries are converted to ``Fraction`` first, so that the division by
-    a pivot stays exact for ``int`` input.
+    Each column maps row keys to nonzero entries.  Taken left to right, each
+    column is reduced against the pivots found so far, in the order found,
+    carrying its combination of the original columns.  A column that reduces
+    to zero gives the kernel vector with 1 at its own index and 0 at every
+    other non-pivot index: the reduced-row-echelon basis vector, whichever
+    row each pivot takes.  A vector maps column indices to ``Fraction``s.
     """
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (i for i in range(rank, len(matrix)) if matrix[i][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = matrix[rank][col]
-        matrix[rank] = [x / inv for x in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][col] != 0:
-                f = matrix[i][col]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(matrix):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -matrix[ri][fc]
-        basis.append(vec)
-    return basis
+    pivots: list[tuple[Hashable, dict, dict]] = []
+    kernel = []
+    for j, column in enumerate(columns):
+        col = dict(column)
+        combo: dict[int, Rational] = {j: 1}
+        for row, pivot_col, pivot_combo in pivots:
+            if row in col:
+                factor = -Fraction(col[row]) / pivot_col[row]
+                _add_multiple(col, pivot_col, factor)
+                _add_multiple(combo, pivot_combo, factor)
+        if col:
+            pivots.append((next(iter(col)), col, combo))
+        else:
+            kernel.append({i: Fraction(c) for i, c in combo.items()})
+    return kernel
 
 
-def _edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
+def _edge_classes(vertex_count: int, edge_count: int) -> list[tuple[Edge, ...]]:
     """One edge tuple per isomorphism class of graphs of the given bidegree.
 
-    The classes are generated edge by edge from the empty graph: the next
-    level is the set of canonical edge tuples of every graph of the previous
-    level plus one of its non-edges.  Zero and disconnected graphs stay in
-    the levels, because an added edge can make them nonzero or connected.
-    Past half of the ``C(n, 2)`` vertex pairs, the classes with the
-    complementary edge count are generated instead and each is replaced by
-    its complement, since complementing is a bijection on isomorphism
-    classes; those complements are not canonical.
+    Orderly generation (Read, "Every one a winner", 1978): every prefix of a
+    canonical edge tuple is canonical, so each class is grown exactly once
+    from the empty graph by appending a vertex pair after the last edge and
+    keeping the child only if it is its own canonical form.  Past half of
+    the ``C(n, 2)`` pairs, the classes of the complementary edge count are
+    grown instead and complemented (a bijection on classes); those
+    complements are not canonical.
     """
     pairs = list(combinations(range(1, vertex_count + 1), 2))
     if not 0 <= edge_count <= len(pairs):
-        return set()
+        return []
     size = min(edge_count, len(pairs) - edge_count)
-    level: set[tuple[Edge, ...]] = {()}
+    level: list[tuple[Edge, ...]] = [()]
     for _ in range(size):
-        level = {
-            canonicalize(UnorientedGraph(vertex_count, edges + (e,))).canonical.edges
-            for edges in level
-            for e in pairs
-            if e not in edges
-        }
+        children = []
+        for edges in level:
+            for e in pairs[pairs.index(edges[-1]) + 1 if edges else 0 :]:
+                child = edges + (e,)
+                if canonicalize(UnorientedGraph(vertex_count, child)).canonical.edges == child:
+                    children.append(child)
+        level = children
     if size < edge_count:
-        level = {tuple(e for e in pairs if e not in edges) for edges in level}
+        level = [tuple(e for e in pairs if e not in edges) for edges in level]
     return level
 
 
@@ -342,36 +341,19 @@ def _kernel_basis(vertex_count: int, edge_count: int) -> list[UnorientedGraph]:
 def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
     """All cocycles built from connected graphs of the given bidegree.
 
-    Generates one graph per isomorphism class edge by edge, each level from
-    the canonical forms of the previous level plus one edge (past half of
-    the vertex pairs, the complements of the classes with the complementary
-    edge count), keeps the connected nonzero ones by their canonical
-    representatives, assembles the differential as an exact rational
-    matrix, and returns a basis of its kernel.  Each basis vector has
-    coprime integer coefficients with the first nonzero coefficient
-    positive.
+    The connected nonzero classes come from :func:`_edge_classes`, and the
+    kernel of the differential on them from :func:`_nullspace`, fed one
+    ``differential`` per basis graph.  Each basis vector has coprime integer
+    coefficients with the first nonzero coefficient positive.
     """
     basis = _kernel_basis(vertex_count, edge_count)
-
-    target_index: dict[UnorientedGraph, int] = {}
-    columns: list[dict[int, Rational]] = []
-    for g in basis:
-        col: dict[int, Rational] = {}
-        for h, c in differential(g).items():
-            col[target_index.setdefault(h, len(target_index))] = c
-        columns.append(col)
-    rows: list[list[Rational]] = [[0] * len(basis) for _ in range(len(target_index))]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows[i][j] = c
-
     kernel = []
-    for vec in _nullspace(rows, len(basis)):
+    for vec in _nullspace(differential(g)._terms for g in basis):
         combo = GraphSum()
-        for g, c in zip(basis, vec):
-            combo._add(g, c)
+        for j, c in vec.items():
+            combo._add(basis[j], c)
         combo = combo.reduce()
-        kernel.append(-combo if next(c for c in vec if c) < 0 else combo)
+        kernel.append(-combo if vec[min(vec)] < 0 else combo)
     return kernel
 
 

@@ -6,7 +6,8 @@ of the permutation.  :func:`canonicalize` picks the lexicographically
 smallest sorted-edge-list encoding over all vertex relabelings, reports the
 parity sign connecting the input presentation to that encoding, and flags
 *zero graphs* -- graphs equal to minus themselves because some automorphism
-permutes their edges oddly.
+permutes their edges oddly.  Every prefix of a canonical edge list is itself
+canonical, which the orderly class generation in ``gckit.complexes`` relies on.
 
 Graphs and orgraphs share one search for the least encoding,
 :func:`_minimal_labelings`, which reads an encoding as one row per label.

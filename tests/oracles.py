@@ -8,7 +8,12 @@ parities that reach it.  They are kept unchanged, apart from caching.
 
 The kernel basis is the loop that canonicalized one graph per connected
 subset of ``edge_count`` vertex pairs, kept unchanged from
-``gckit.complexes.cocycle_kernel`` apart from returning the basis.
+``gckit.complexes.cocycle_kernel`` apart from returning the basis.  The
+class generation that followed it, which built each level as the set of
+canonical forms of every extension of the level before, and the dense
+Gauss-Jordan nullspace on a row-major ``Fraction`` matrix are kept
+unchanged from ``gckit.complexes`` apart from their names and the name
+under which the generation imports ``canonicalize``.
 
 The flow kernels are the two-pass edge operator, the direct evaluator
 that enumerates every tuple of index pairs before it prunes, the algebraic
@@ -40,6 +45,7 @@ from gckit.graphs import (
     edge_permutation_sign,
     is_connected,
 )
+from gckit.complexes import Rational
 from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
@@ -225,6 +231,72 @@ def kernel_basis(vertex_count: int, edge_count: int) -> list[UnorientedGraph]:
         basis.append(sc.canonical)
     basis.sort(key=lambda g: g.sort_key())
     return basis
+
+
+def nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of a rational matrix (Gauss-Jordan).
+
+    The entries are converted to ``Fraction`` first, so that the division by
+    a pivot stays exact for ``int`` input.
+    """
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next(
+            (i for i in range(rank, len(matrix)) if matrix[i][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = matrix[rank][col]
+        matrix[rank] = [x / inv for x in matrix[rank]]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][col] != 0:
+                f = matrix[i][col]
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(matrix):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -matrix[ri][fc]
+        basis.append(vec)
+    return basis
+
+
+def edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
+    """One edge tuple per isomorphism class of graphs of the given bidegree.
+
+    The classes are generated edge by edge from the empty graph: the next
+    level is the set of canonical edge tuples of every graph of the previous
+    level plus one of its non-edges.  Zero and disconnected graphs stay in
+    the levels, because an added edge can make them nonzero or connected.
+    Past half of the ``C(n, 2)`` vertex pairs, the classes with the
+    complementary edge count are generated instead and each is replaced by
+    its complement, since complementing is a bijection on isomorphism
+    classes; those complements are not canonical.
+    """
+    pairs = list(combinations(range(1, vertex_count + 1), 2))
+    if not 0 <= edge_count <= len(pairs):
+        return set()
+    size = min(edge_count, len(pairs) - edge_count)
+    level: set[tuple[Edge, ...]] = {()}
+    for _ in range(size):
+        level = {
+            fast_canonicalize(UnorientedGraph(vertex_count, edges + (e,))).canonical.edges
+            for edges in level
+            for e in pairs
+            if e not in edges
+        }
+    if size < edge_count:
+        level = {tuple(e for e in pairs if e not in edges) for edges in level}
+    return level
 
 
 def edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:

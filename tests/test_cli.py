@@ -52,8 +52,9 @@ def _rules_input(name: str) -> Path:
 # that graph's ``orient`` golden (``edge`` has 3 sinks, so its ``fold`` exits
 # 2; ``path3`` is a zero graph, so its ``orient`` is empty and so is its
 # ``fold``); ``verify-corollary`` per graph and bivector,
-# except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each); and
-# ``schouten`` per ordered pair of bivectors.
+# except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each);
+# ``schouten`` per ordered pair of bivectors; and ``kernel`` at (7, 11),
+# whose 432 x 70 differential has a 5-dimensional kernel.
 VERBS_GOLDEN = ROOT / "tests" / "golden" / "verbs"
 VERBS_EXIT_CODES = json.loads(
     (VERBS_GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
@@ -85,6 +86,7 @@ def verb_cases() -> dict[str, list[str]]:
             cases[f"schouten-{f}-{h}"] = [
                 "schouten", str(data / f"{f}.poisson"), str(data / f"{h}.poisson")
             ]
+    cases["kernel-7-11"] = ["kernel", "--vertices", "7", "--edges", "11"]
     return cases
 
 

@@ -165,9 +165,10 @@ class TestCocycleKernel:
         assert basis[0].coefficient(pentagon) in (1, -1)
 
     def test_nullspace_is_exact_for_int_input(self):
-        basis = _nullspace([[2, 1, 0], [0, 3, 1]], 3)
-        assert basis == [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
-        assert all(type(x) is Fraction for vec in basis for x in vec)
+        # The columns of the matrix [[2, 1, 0], [0, 3, 1]].
+        basis = _nullspace([{0: 2}, {0: 1, 1: 3}, {1: 1}])
+        assert basis == [{0: Fraction(1, 6), 1: Fraction(-1, 3), 2: Fraction(1)}]
+        assert all(type(x) is Fraction for vec in basis for x in vec.values())
 
     def test_basis_vectors_are_primitive_cocycles(self, wheel5, companion5):
         basis = cocycle_kernel(6, 10)

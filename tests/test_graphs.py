@@ -174,6 +174,20 @@ class TestCanonicalize:
         image = {v: perm[v - 1] for v in range(1, n + 1)}
         assert canonicalize(g).is_zero == canonicalize(relabel(g, image)).is_zero
 
+    @given(
+        n=st.integers(min_value=2, max_value=7),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_prefix_of_a_canonical_edge_list_is_canonical(self, n, data):
+        all_pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = data.draw(st.lists(st.sampled_from(all_pairs), unique=True,
+                                   max_size=len(all_pairs)))
+        canonical = canonicalize(new_graph(n, edges)).canonical.edges
+        for k in range(len(canonical)):
+            prefix = canonical[:k]
+            assert canonicalize(new_graph(n, prefix)).canonical.edges == prefix
+
 
 class TestAutomorphisms:
     def test_counts(self, tetra, path3, wheel5):

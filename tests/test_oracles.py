@@ -5,7 +5,11 @@ orgraph normalizer; hypothesis compares them with the library on random
 graphs (isolated vertices and disconnected graphs included) and random
 orgraphs (repeated targets included).  It also keeps the subset loop that
 built the kernel basis, compared exhaustively with the edge-by-edge
-generation on small bidegrees, and the two-pass edge operator and the direct
+generation on small bidegrees; the level-set class generation, whose
+classes are compared with the orderly generation's on every bidegree with at
+most six vertices; the dense nullspace, compared with the sparse elimination
+on random small matrices with zero rows, zero columns and dependent columns;
+and the two-pass edge operator and the direct
 evaluator that enumerates every index tuple, which are compared with the
 one-pass edge operator and the vertex-by-vertex evaluator on random
 multivectors, graphs, orgraphs and bivectors, the placement loop over
@@ -21,6 +25,7 @@ two-sink graphs there and on randomly perturbed orientations.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -123,6 +128,55 @@ KERNEL_BIDEGREES += [(6, m) for m in (6, 7, 8, 9)]
 @pytest.mark.parametrize("n, m", KERNEL_BIDEGREES)
 def test_kernel_basis_matches_oracle(n, m):
     assert complexes._kernel_basis(n, m) == oracles.kernel_basis(n, m)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 7) for m in range(comb(n, 2) + 1)]
+)
+def test_edge_classes_match_oracle(n, m):
+    def classes(generate):
+        return [canonicalize(new_graph(n, edges)).canonical for edges in generate(n, m)]
+
+    orderly = classes(complexes._edge_classes)
+    assert len(orderly) == len(set(orderly))
+    assert set(orderly) == set(classes(oracles.edge_classes))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """``(columns, rows, ncols)``: one small rational matrix, both ways.
+
+    Zero entries are common, so zero rows and zero columns occur; some
+    columns are combinations of earlier ones; each column lists its rows in
+    a random order, so the pivots take different rows.
+    """
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 7))
+    entries = st.one_of(st.just(0), COEFFICIENTS)
+    dense_columns: list[list] = []
+    for _ in range(ncols):
+        if dense_columns and draw(st.booleans()):
+            factors = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            column = [sum(f * c[i] for f, c in zip(factors, dense_columns)) for i in range(nrows)]
+        else:
+            column = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+        dense_columns.append(column)
+    columns = []
+    for column in dense_columns:
+        order = draw(st.permutations(range(nrows)))
+        columns.append({f"r{i}": column[i] for i in order if column[i]})
+    rows = [[column[i] for column in dense_columns] for i in range(nrows)]
+    return columns, rows, ncols
+
+
+@given(matrix=sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_nullspace_matches_oracle(matrix):
+    columns, rows, ncols = matrix
+    basis = complexes._nullspace(columns)
+    assert all(type(x) is Fraction and x for vec in basis for x in vec.values())
+    dense = [[vec.get(j, 0) for j in range(ncols)] for vec in basis]
+    assert dense == oracles.nullspace(rows, ncols)
 
 
 def test_six_vertex_class_counts():
