@@ -51,9 +51,10 @@ _EXIT_FALSE = 1
 _EXIT_INPUT = 2
 
 # The most vertices ``kernel`` accepts.  Bigrading (8, 14), the widest on 8
-# vertices, takes 73-80 s and peaks at 317 MB in a fresh process (2-core
-# box, CPython 3.11.7), 58 s of it in the differentials of its 974 basis
-# graphs; the class counts grow too fast beyond it to finish in useful time.
+# vertices, takes 34-36 s and peaks at 96 MB in a fresh process (2-core
+# box, CPython 3.11.7): 7 s to generate its 974 basis graphs, 17 s for their
+# differentials and 12 s to eliminate; the class counts grow too fast beyond
+# it to finish in useful time.
 _MAX_KERNEL_VERTICES = 8
 
 

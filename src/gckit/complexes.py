@@ -6,8 +6,11 @@ combinations whose keys are canonical representatives.  ``GraphSum``,
 private base, ``_Sum``: a subclass supplies its normalizer, and the base does
 the arithmetic, ``reduce`` included, on coefficients that stay plain ``int``
 while they are integral.  The vertex-expansion differential is the bracket
-with the single edge; its kernel in a fixed (vertices, edges) bidegree is
-computed exactly over the rationals.
+with the single edge, summed as vertex splits: the splits that make a leaf,
+and those that subdivide an edge between two vertices of degree at least 3,
+cancel in pairs (against the leaf graftings and against the same
+subdivision from the other end), so they are never built.  Its kernel in a
+fixed (vertices, edges) bidegree is computed exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Hashable, Iterable, Iterator, Union
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .graphs import (
     Edge,
@@ -204,6 +207,32 @@ def _as_sum(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
     return GraphSum([(x, 1)])
 
 
+def _reattachments(
+    g: UnorientedGraph, v: int, shift: int, attachments: Iterable[Sequence[int]]
+) -> Iterator[list[Edge]]:
+    """The edges of ``g`` with vertex ``v`` taken out, once per attachment.
+
+    Edges keep their positions.  The ``i``-th edge end at ``v``, in edge
+    order, goes to vertex ``attach[i]`` of ``1..shift``, and every other
+    vertex ``w`` becomes ``w + shift``, less one past ``v``, so the other
+    vertices keep their order above the attached ones.
+    """
+    fixed: list = []
+    slots: list[tuple[int, int]] = []
+    for i, (a, b) in enumerate(g.edges):
+        if v in (a, b):
+            w = b if a == v else a
+            slots.append((i, w + shift - (w > v)))
+            fixed.append(None)
+        else:
+            fixed.append((a + shift - (a > v), b + shift - (b > v)))
+    for attach in attachments:
+        edges = fixed.copy()
+        for (i, w), x in zip(slots, attach):
+            edges[i] = (x, w)
+        yield edges
+
+
 def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
     """Sum over all ways of grafting ``g1`` into a vertex of ``g2``.
 
@@ -215,24 +244,11 @@ def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
     edges of ``g2``, reattached edges keeping their positions.
     """
     n1, n2 = g1.vertex_count, g2.vertex_count
+    degrees = g2.degrees()
     result = GraphSum()
     for v in range(1, n2 + 1):
-        others = [w for w in range(1, n2 + 1) if w != v]
-        label2 = {w: n1 + i + 1 for i, w in enumerate(others)}
-        degree = sum(1 for a, b in g2.edges if v in (a, b))
-        for attach in product(range(1, n1 + 1), repeat=degree):
-            slot = 0
-            tail: list[tuple[int, int]] = []
-            for a, b in g2.edges:
-                if a == v:
-                    e = (attach[slot], label2[b])
-                    slot += 1
-                elif b == v:
-                    e = (label2[a], attach[slot])
-                    slot += 1
-                else:
-                    e = (label2[a], label2[b])
-                tail.append((e[0], e[1]) if e[0] < e[1] else (e[1], e[0]))
+        attachments = product(range(1, n1 + 1), repeat=degrees[v - 1])
+        for tail in _reattachments(g2, v, n1, attachments):
             edges = list(g1.edges) + tail
             if len(set(edges)) != len(edges):
                 continue
@@ -259,8 +275,49 @@ def bracket(
 
 
 def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
-    """Vertex-expansion differential: the bracket with the single edge."""
-    return bracket(EDGE_GRAPH, x)
+    """Vertex-expansion differential ``bracket(EDGE_GRAPH, x)``, without the
+    terms that cancel.
+
+    The bracket with ``m``-edge ``g`` is ``insert(EDGE_GRAPH, g)``, one
+    *split* per vertex ``v`` and assignment of its edge ends to new vertices
+    1 and 2 (edge ``1 2`` first), less ``(-1)**m insert(g, EDGE_GRAPH)``,
+    two *leaf* terms per vertex ``v``: ``g`` with a new leaf at ``v``, edge
+    last.  Moving the leaf edge from last to first has sign ``(-1)**m``, so
+    each leaf term is minus a split that puts all of ``v``'s ends on one
+    side.  Every graph is signed by its edge order alone, so:
+
+    - Swapping the new vertices 1 and 2 keeps the edge order: each split
+      equals its mirror image and is built once, with the first end on 1.
+    - A vertex of degree ``>= 1`` has two one-sided splits, cancelled by its
+      two leaf terms.  Isolated ``v`` has one, the new edge on its own, and
+      the two leaf terms leave minus it.
+    - A split of ``v`` that sends one end, to neighbour ``a``, away from the
+      other ``>= 2`` subdivides edge ``va``.  When ``a`` also has degree
+      ``>= 3``, the matching split of ``a`` gives the same graph with the
+      new edge and ``va`` trading places: an odd permutation, so the two
+      cancel.
+    """
+    total = GraphSum()
+    for g, c in _as_sum(x)._terms.items():
+        n = g.vertex_count
+        degrees = g.degrees()
+        for v in range(1, n + 1):
+            deg = degrees[v - 1]
+            if deg == 0:
+                splits, coeff = [()], -c
+            else:
+                splits = [(1,) + rest for rest in product((1, 2), repeat=deg - 1)][1:]
+                coeff = 2 * c
+            if deg >= 3:
+                # alone[i] is the split that leaves end i on its own side.
+                alone = [(1,) + (2,) * (deg - 1)]
+                alone += [(1,) * i + (2,) + (1,) * (deg - i - 1) for i in range(1, deg)]
+                ends = [b if a == v else a for a, b in g.edges if v in (a, b)]
+                cancelled = {alone[i] for i, w in enumerate(ends) if degrees[w - 1] >= 3}
+                splits = [s for s in splits if s not in cancelled]
+            for tail in _reattachments(g, v, 2, splits):
+                total.add_graph(UnorientedGraph(n + 1, ((1, 2), *tail)), coeff)
+    return total
 
 
 def is_cocycle(x: Union[UnorientedGraph, GraphSum]) -> bool:

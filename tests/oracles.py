@@ -13,7 +13,10 @@ class generation that followed it, which built each level as the set of
 canonical forms of every extension of the level before, and the dense
 Gauss-Jordan nullspace on a row-major ``Fraction`` matrix are kept
 unchanged from ``gckit.complexes`` apart from their names and the name
-under which the generation imports ``canonicalize``.
+under which the generation imports ``canonicalize``.  The differential is
+the whole bracket with the single edge, every split and leaf term built,
+through the insertion that relabeled each edge in one loop per attachment;
+all three are kept unchanged from ``gckit.complexes``.
 
 The flow kernels are the two-pass edge operator, the direct evaluator
 that enumerates every tuple of index pairs before it prunes, the algebraic
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterator, Sequence, Union
 
 from gckit.graphs import (
     Edge,
@@ -45,7 +48,7 @@ from gckit.graphs import (
     edge_permutation_sign,
     is_connected,
 )
-from gckit.complexes import Rational
+from gckit.complexes import EDGE_GRAPH, GraphSum, Rational, _as_sum
 from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
@@ -211,6 +214,65 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     is_zero = len(best_signs) == 2
     sign = 1 if is_zero else best_signs.pop()
     return NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, best_order)
+
+
+def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
+    """Sum over all ways of grafting ``g1`` into a vertex of ``g2``.
+
+    For each vertex ``v`` of ``g2``, ``v`` is replaced by a copy of ``g1``
+    (on labels ``1..n1``; the remaining vertices of ``g2`` keep their order
+    on labels ``n1+1..``) and every edge end that was attached to ``v`` is
+    reattached to a vertex of ``g1``, in all ``n1**deg(v)`` ways.  The edge
+    order of each resulting graph is the edges of ``g1`` followed by the
+    edges of ``g2``, reattached edges keeping their positions.
+    """
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    result = GraphSum()
+    for v in range(1, n2 + 1):
+        others = [w for w in range(1, n2 + 1) if w != v]
+        label2 = {w: n1 + i + 1 for i, w in enumerate(others)}
+        degree = sum(1 for a, b in g2.edges if v in (a, b))
+        for attach in product(range(1, n1 + 1), repeat=degree):
+            slot = 0
+            tail: list[tuple[int, int]] = []
+            for a, b in g2.edges:
+                if a == v:
+                    e = (attach[slot], label2[b])
+                    slot += 1
+                elif b == v:
+                    e = (label2[a], attach[slot])
+                    slot += 1
+                else:
+                    e = (label2[a], label2[b])
+                tail.append((e[0], e[1]) if e[0] < e[1] else (e[1], e[0]))
+            edges = list(g1.edges) + tail
+            if len(set(edges)) != len(edges):
+                continue
+            result.add_graph(UnorientedGraph(n1 + n2 - 1, tuple(edges)), 1)
+    return result
+
+
+def bracket(
+    x: Union[UnorientedGraph, GraphSum], y: Union[UnorientedGraph, GraphSum]
+) -> GraphSum:
+    """Graded commutator of insertions, extended bilinearly.
+
+    On individual graphs this is ``insert(x, y) - (-1)**(e_x * e_y)
+    insert(y, x)`` where ``e`` counts edges.
+    """
+    total = GraphSum()
+    for g1, c1 in _as_sum(x).items():
+        for g2, c2 in _as_sum(y).items():
+            c = c1 * c2
+            sign = -1 if (g1.edge_count * g2.edge_count) % 2 else 1
+            total._add_sum(insert(g1, g2), c)
+            total._add_sum(insert(g2, g1), -sign * c)
+    return total
+
+
+def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
+    """Vertex-expansion differential: the bracket with the single edge."""
+    return bracket(EDGE_GRAPH, x)
 
 
 def kernel_basis(vertex_count: int, edge_count: int) -> list[UnorientedGraph]:

@@ -39,12 +39,24 @@ RULES_EXIT_CODES = json.loads(
 )
 
 
-def _rules_input(name: str) -> Path:
-    for folder in (RULES_GOLDEN / "inputs", ROOT / "data", ROOT / "perfbench" / "inputs"):
+def _find_input(name: str, *folders: Path) -> Path:
+    for folder in folders:
         path = folder / f"{name}.g"
         if path.exists():
             return path
     raise FileNotFoundError(name)
+
+
+def _rules_input(name: str) -> Path:
+    return _find_input(name, RULES_GOLDEN / "inputs", ROOT / "data", ROOT / "perfbench" / "inputs")
+
+
+# Frozen ``d`` stdout and exit codes: every graph of the ``rules-check``
+# corpus (the single vertex, leaves and bivalent vertices among them) and the
+# disconnected graphs with isolated vertices or leaves in ``inputs/``.
+D_GOLDEN = ROOT / "tests" / "golden" / "d"
+D_EXIT_CODES = json.loads((D_GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+D_INPUTS = (RULES_GOLDEN / "inputs", D_GOLDEN / "inputs")
 
 
 # Frozen stdout and exit codes of every verb on every ``data/`` input: per
@@ -288,6 +300,20 @@ class TestVerbGoldens:
         code, out, _ = cli(*verb_cases()[case])
         assert code == VERBS_EXIT_CODES[case]
         assert out.encode("utf-8") == (VERBS_GOLDEN / f"{case}.out").read_bytes()
+
+
+class TestDGoldens:
+    """``d`` on small, leafy and disconnected graphs prints its golden bytes."""
+
+    def test_every_input_has_a_golden(self):
+        names = [path.stem for folder in D_INPUTS for path in folder.glob("*.g")]
+        assert sorted(names) == sorted(D_EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(D_EXIT_CODES))
+    def test_matches_golden(self, cli, name):
+        code, out, _ = cli("d", str(_find_input(name, *D_INPUTS)))
+        assert code == D_EXIT_CODES[name]
+        assert out.encode("utf-8") == (D_GOLDEN / f"{name}.out").read_bytes()
 
 
 class TestOrient:

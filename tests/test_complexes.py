@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from gckit import (
     EDGE_GRAPH,
@@ -20,6 +21,7 @@ from gckit import (
     parse_graph_sum,
 )
 from gckit.complexes import _nullspace
+from test_oracles import graphs
 
 
 @pytest.fixture
@@ -129,14 +131,13 @@ class TestDifferential:
         assert d
         assert format_graph_sum(d) == "4 * g 5 6 : 1 2, 1 3, 1 4, 2 3, 2 5, 4 5"
 
-    def test_differential_squares_to_zero(self):
-        for n, edges in [
-            (4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
-            (4, [(1, 2), (1, 3), (1, 4), (2, 3)]),
-            (5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5)]),
-        ]:
-            g = new_graph(n, edges)
-            assert not differential(differential(g))
+    @example(g=new_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
+    @example(g=new_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)]))
+    @example(g=new_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5)]))
+    @given(g=graphs(max_vertices=5))
+    @settings(max_examples=100, deadline=None)
+    def test_differential_squares_to_zero(self, g):
+        assert not differential(differential(g))
 
     def test_differential_is_linear(self, tetra):
         g = new_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])

@@ -3,8 +3,13 @@
 ``oracles`` keeps the exhaustive canonicalizer, automorphism search and
 orgraph normalizer; hypothesis compares them with the library on random
 graphs (isolated vertices and disconnected graphs included) and random
-orgraphs (repeated targets included).  It also keeps the subset loop that
-built the kernel basis, compared exhaustively with the edge-by-edge
+orgraphs (repeated targets included).  The differential that builds only
+the splits that do not cancel is compared with the whole bracket with the
+single edge on every class with at most five vertices, on random graphs
+with at most six, and on random sums with rational coefficients, and the
+insertion that relabels edges through one helper with the one that
+relabeled them in a loop per attachment, on random small pairs.  It also
+keeps the subset loop that built the kernel basis, compared exhaustively with the edge-by-edge
 generation on small bidegrees; the level-set class generation, whose
 classes are compared with the orderly generation's on every bidegree with at
 most six vertices; the dense nullspace, compared with the sparse elimination
@@ -59,8 +64,10 @@ from test_multivectors import COEFFICIENTS, multivectors
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def graphs(draw, max_vertices=7):
+    """A random edge subset in random order, so isolated vertices, leaves and
+    disconnected graphs all occur."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     edges = []
     if pairs:
@@ -140,6 +147,54 @@ def test_edge_classes_match_oracle(n, m):
     orderly = classes(complexes._edge_classes)
     assert len(orderly) == len(set(orderly))
     assert set(orderly) == set(classes(oracles.edge_classes))
+
+
+# ---------------------------------------------------------------------------
+# Differential
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 6) for m in range(comb(n, 2) + 1)]
+)
+def test_differential_matches_oracle_on_every_class(n, m):
+    for edges in complexes._edge_classes(n, m):
+        g = new_graph(n, edges)
+        assert complexes.differential(g) == oracles.differential(g)
+
+
+@given(g1=graphs(max_vertices=3), g2=graphs(max_vertices=4))
+@settings(max_examples=100, deadline=None)
+def test_insert_matches_oracle(g1, g2):
+    assert complexes.insert(g1, g2) == oracles.insert(g1, g2)
+
+
+@given(g=graphs(max_vertices=6))
+@settings(max_examples=150, deadline=None)
+def test_differential_matches_oracle(g):
+    assert complexes.differential(g) == oracles.differential(g)
+
+
+@given(
+    terms=st.lists(
+        st.tuples(graphs(max_vertices=5), st.one_of(st.integers(-3, 3), COEFFICIENTS)),
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_differential_of_a_sum_matches_oracle(terms):
+    s = complexes.GraphSum(terms)
+    assert complexes.differential(s) == oracles.differential(s)
+
+
+def test_differential_of_a_mixed_rational_sum_matches_oracle():
+    s = complexes.GraphSum([
+        (new_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]), Fraction(-2, 3)),
+        (new_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 3),
+        (new_graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), Fraction(5, 2)),
+    ])
+    d = complexes.differential(s)
+    assert any(type(c) is Fraction for _, c in d.items())
+    assert d == oracles.differential(s)
 
 
 @st.composite
