@@ -23,7 +23,6 @@ from .complexes import (
 )
 from .graphs import ParseError, parse_graph, significant_lines
 from .multivectors import (
-    Multivector,
     evaluate_orgraph,
     format_poisson,
     parse_poisson,
@@ -86,15 +85,6 @@ def _parse_graph_or_sum(text: str) -> GraphSum:
     return parse_graph_sum(text)
 
 
-def _load_poisson(path: str, dim: int | None) -> Multivector:
-    p = parse_poisson(_read_text(path))
-    if dim is not None and p.dimension != dim:
-        raise ParseError(
-            f"{path}: declared dimension {p.dimension} does not match --dim {dim}"
-        )
-    return p
-
-
 # ---------------------------------------------------------------------------
 # Verb handlers (each returns the process exit code)
 
@@ -154,7 +144,7 @@ def _cmd_rules_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    p = _load_poisson(args.poisson, args.dim)
+    p = parse_poisson(_read_text(args.poisson))
     total = parse_orgraph_sum(_read_text(args.input))
     _emit(format_poisson(evaluate_orgraph(total, p)))
     return _EXIT_OK
@@ -174,7 +164,7 @@ def _cmd_schouten(args: argparse.Namespace) -> int:
 
 def _cmd_verify_corollary(args: argparse.Namespace) -> int:
     gamma = _parse_graph_or_sum(_read_text(args.graph))
-    p = _load_poisson(args.poisson, args.dim)
+    p = parse_poisson(_read_text(args.poisson))
     if verify_corollary(gamma, p):
         print("corollary: yes")
         return _EXIT_OK
@@ -243,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an orgraph sum on a bivector")
     p.add_argument("--poisson", required=True, metavar="FILE")
-    p.add_argument("--dim", type=int, metavar="D",
-                   help="expected dimension of the bivector file")
     p.add_argument("input", help="orgraph-sum file")
     p.set_defaults(handler=_cmd_eval)
 
@@ -259,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True, metavar="FILE")
     p.add_argument("--poisson", required=True, metavar="FILE")
-    p.add_argument("--dim", type=int, metavar="D",
-                   help="expected dimension of the bivector file")
     p.set_defaults(handler=_cmd_verify_corollary)
 
     p = sub.add_parser(

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .complexes import GraphSum, _Sum, _as_sum, _exact, bracket, differential
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
-from .orient import Orgraph, OrgraphSum
+from .orient import Orgraph, OrgraphSum, _sink_arrows
 
 __all__ = [
     "MultivectorError",
@@ -347,23 +347,19 @@ def _evaluate_single_orgraph(
     ``factors`` memoizes the factors by pair and derivative indices.  A
     sink's odd factor is the index on its one arrow; once all of them are
     chosen, a repeated sink index ends the branch too.  Raises
-    :class:`MultivectorError` unless every sink receives exactly one arrow.
+    :class:`gckit.orient.OrgraphError` unless every sink receives exactly one
+    arrow.
     """
     d = p.dimension
     s = g.sink_count
     n = g.internal_count
     pairs = list(components)
-    arrows = [(i, slot, t) for i, pair in enumerate(g.targets) for slot, t in enumerate(pair)]
-    sink_arrow: list[tuple[int, int]] = []
-    for sink in range(s):
-        into = [(i, slot) for i, slot, t in arrows if t == sink]
-        if len(into) != 1:
-            raise MultivectorError(f"sink {sink} must receive exactly one arrow")
-        sink_arrow.append(into[0])
+    sink_arrow = _sink_arrows(g)
     sources: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, slot, t in arrows:
-        if t >= s:
-            sources[t - s].append((i, slot))
+    for i, pair in enumerate(g.targets):
+        for slot, t in enumerate(pair):
+            if t >= s:
+                sources[t - s].append((i, slot))
     ready: list[list[int]] = [[] for _ in range(n)]
     for k in range(n):
         ready[max([k] + [i for i, _ in sources[k]])].append(k)
@@ -411,6 +407,8 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     Each internal vertex holds a copy of the bivector; every arrow carries a
     coordinate index, arrows into a vertex differentiate its copy, and the
     arrows into the ordered sinks supply the odd factors of the result.
+    Raises :class:`gckit.orient.OrgraphError` unless every sink of every
+    orgraph receives exactly one arrow.
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
@@ -638,9 +636,12 @@ class _ExpressionParser:
             return out
         if kind == "op" and text == "(":
             value = self.expression()
-            closing = self.take()
-            if closing[0] != "op" or closing[1] != ")":
-                raise self.fail("missing closing parenthesis", closing[2])
+            closing = self.peek()
+            if closing is None or closing[1] != ")":
+                last = self.tokens[-1]
+                column = last[2] + len(last[1]) if closing is None else closing[2]
+                raise self.fail("missing closing parenthesis", column)
+            self.take()
             return value
         if kind == "op" and text == "-":
             return -self.atom()

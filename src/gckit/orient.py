@@ -114,17 +114,34 @@ def new_orgraph(
     return Orgraph(sink_count, pairs)
 
 
+def _sink_arrows(g: Orgraph) -> list[tuple[int, int]]:
+    """The ``(vertex, slot)`` of the one arrow into each sink, in sink order.
+
+    Raises :class:`OrgraphError` unless every sink receives exactly one arrow.
+    """
+    into: list[list[tuple[int, int]]] = [[] for _ in range(g.sink_count)]
+    for i, pair in enumerate(g.targets):
+        for slot, t in enumerate(pair):
+            if t < g.sink_count:
+                into[t].append((i, slot))
+    for sink, arrows in enumerate(into):
+        if len(arrows) != 1:
+            raise OrgraphError(f"sink {sink} must receive exactly one arrow")
+    return [arrows[0] for arrows in into]
+
+
 def shape(g: Orgraph) -> str:
-    """``"Lambda"`` if one vertex emits both sink arrows, else ``"Pi"``."""
+    """``"Lambda"`` if one vertex emits both sink arrows, else ``"Pi"``.
+
+    Exchanging the sink labels keeps the shape, and an orgraph and its sink
+    swap are zero together: internal relabelings commute with the exchange,
+    so one that maps an orgraph to itself maps its sink swap to itself,
+    reversing the same pairs, and a repeated target stays repeated.
+    """
     if g.sink_count != 2:
         raise OrgraphError("not a bivector orgraph: needs exactly 2 sinks")
-    emitters = []
-    for label in (0, 1):
-        hits = [i for i, pair in enumerate(g.targets) if label in pair]
-        if len(hits) != 1 or g.targets[hits[0]].count(label) != 1:
-            raise OrgraphError(f"sink {label} must receive exactly one arrow")
-        emitters.append(hits[0])
-    return "Lambda" if emitters[0] == emitters[1] else "Pi"
+    (first, _), (second, _) = _sink_arrows(g)
+    return "Lambda" if first == second else "Pi"
 
 
 def sink_swap(g: Orgraph) -> Orgraph:
@@ -485,7 +502,9 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
     partners (swapping the two sink labels only swaps one pair, which is the
     sign the pairing contract expects) and pass through unchanged.  Terms
     are read in key order, so of each Pi pair the smaller encoding comes
-    first: it is kept, and its partner is skipped.
+    first: it is kept, and its partner is skipped.  A term's partner is
+    never zero, since an orgraph and its sink swap are zero together (see
+    :func:`shape`).
     """
     out = OrgraphSum()
     partners: set[Orgraph] = set()
@@ -494,10 +513,6 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
             continue
         if shape(key) == "Pi":
             norm = normalize_orgraph(sink_swap(key))
-            if norm.is_zero:
-                raise SkewSymmetryError(
-                    f"skew-symmetry violated: sink swap of {key!r} is a zero orgraph"
-                )
             partner, rho = norm.orgraph, norm.sign
             if partner == key:
                 if rho != -1:
@@ -560,21 +575,6 @@ class RulesReport:
         return "\n".join(
             self.lines + [f"mismatch: {m}" for m in self.mismatches] + [verdict]
         )
-
-
-def _displayed_classes(classes: list[Orgraph]) -> list[Orgraph]:
-    """Lambda classes plus the smaller member of each sink-swapped Pi pair.
-
-    These are the classes whose signs the reversal rule is expected to fix;
-    each remaining Pi class is the sink-swapped partner of a displayed one
-    and its sign follows from the pairing contract instead.
-    """
-    return [
-        key
-        for key in classes
-        if shape(key) == "Lambda"
-        or key.sort_key() <= normalize_orgraph(sink_swap(key)).orgraph.sort_key()
-    ]
 
 
 def _transposition_counts(w: OrientationWitness) -> tuple[int, int]:
@@ -654,6 +654,7 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
     coefficient = {key: sum(contribution[w] for w in ws) for key, ws in members.items()}
 
     two_sinks = 2 * g.vertex_count - g.edge_count == 2
+    displayed: list[Orgraph] = []
     head = f"witnesses: {len(witnesses)}"
     if two_sinks:
         lambdas = sum(w.shape() == "Lambda" for w in witnesses)
@@ -671,20 +672,25 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
             f"sink swap of witness (mask {w.mask}, sinks {w.sinks})"
             " does not flip parity"
             for w in witnesses
-            if w.shape() == "Pi" and orientation_sign(w.sink_swapped()) != -eps_of[w]
+            if w.shape() == "Pi" and eps_of[w.sink_swapped()] != -eps_of[w]
         ])
+        # The displayed classes, whose signs the reversal rule is expected to
+        # fix: the Lambda classes and the smaller class of each Pi pair, the
+        # other one's sign following from the pairing contract.
         unpaired = []
         for key in classes:
-            if shape(key) == "Lambda":
-                continue
-            partner = normalize_orgraph(sink_swap(key))
-            expected = -partner.sign * coefficient[key]
-            found = coefficient.get(partner.orgraph, 0)
-            if found != expected:
-                unpaired.append(
-                    f"class {encode_compact(key)}: sink-swapped partner carries"
-                    f" {found}, pairing contract expects {expected}"
-                )
+            if shape(key) == "Pi":
+                partner = normalize_orgraph(sink_swap(key))
+                expected = -partner.sign * coefficient[key]
+                found = coefficient.get(partner.orgraph, 0)
+                if found != expected:
+                    unpaired.append(
+                        f"class {encode_compact(key)}: sink-swapped partner carries"
+                        f" {found}, pairing contract expects {expected}"
+                    )
+                if key.sort_key() > partner.orgraph.sort_key():
+                    continue
+            displayed.append(key)
         verdict("sink-swap class pairing", unpaired)
 
     # every elementary move of every witness: rule sign vs parity ratio
@@ -728,7 +734,6 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
                 transport[dst] = (cur_sign * move_sign, cur_depth + 1)
                 queue.append(dst)
 
-    displayed = _displayed_classes(classes)
     counts_of = {
         w: _transposition_counts(w) for key in displayed for w in members[key]
     }

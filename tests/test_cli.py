@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from gckit import parse_graph_sum, parse_orgraph_sum
+from gckit.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden"
@@ -65,6 +67,8 @@ D_INPUTS = (RULES_GOLDEN / "inputs", D_GOLDEN / "inputs")
 # 2; ``path3`` is a zero graph, so its ``orient`` is empty and so is its
 # ``fold``); ``verify-corollary`` per graph and bivector,
 # except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each);
+# ``eval`` of that graph's ``orient`` golden per bivector, except
+# ``companion5`` on ``cubic3`` (4.6 s; ``edge`` gives a 3-sink flow);
 # ``schouten`` per ordered pair of bivectors; and ``kernel`` at (7, 11),
 # whose 432 x 70 differential has a 5-dimensional kernel.
 VERBS_GOLDEN = ROOT / "tests" / "golden" / "verbs"
@@ -72,6 +76,7 @@ VERBS_EXIT_CODES = json.loads(
     (VERBS_GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
 )
 SLOW_COROLLARIES = {("wheel5", "cubic3"), ("companion5", "cubic3")}
+SLOW_EVALS = {("companion5", "cubic3")}
 
 
 def verb_cases() -> dict[str, list[str]]:
@@ -88,10 +93,14 @@ def verb_cases() -> dict[str, list[str]]:
         cases[f"orient-reduce-{g}"] = ["orient", "--reduce", graph]
         cases[f"fold-{g}"] = ["fold", str(VERBS_GOLDEN / f"orient-{g}.out")]
         for p in bivectors:
+            poisson = str(data / f"{p}.poisson")
             if (g, p) not in SLOW_COROLLARIES:
                 cases[f"corollary-{g}-{p}"] = [
-                    "verify-corollary", "--graph", graph,
-                    "--poisson", str(data / f"{p}.poisson"),
+                    "verify-corollary", "--graph", graph, "--poisson", poisson,
+                ]
+            if (g, p) not in SLOW_EVALS:
+                cases[f"eval-{g}-{p}"] = [
+                    "eval", "--poisson", poisson, str(VERBS_GOLDEN / f"orient-{g}.out"),
                 ]
     for f in bivectors:
         for h in bivectors:
@@ -275,6 +284,28 @@ class TestKernel:
         assert (code, out) == (0, "dimension: 0\n")
 
 
+def _readme_command_lines() -> dict[str, str]:
+    """The README's command block, one line per verb, keyed by verb."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return {
+        line.split()[1]: line for line in block.splitlines() if line.startswith("gckit ")
+    }
+
+
+def test_readme_documents_every_flag():
+    parser = _build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    lines = _readme_command_lines()
+    assert sorted(lines) == sorted(verbs.choices)
+    for verb, sub in verbs.choices.items():
+        words = lines[verb].replace("[", " ").replace("]", " ").split()
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                for flag in action.option_strings:
+                    assert flag in words, f"README omits {verb} {flag}"
+
+
 class TestBenchmarkGoldens:
     """Every benchmark operation, on its inputs as checked in, prints its golden."""
 
@@ -401,13 +432,16 @@ class TestEvalAndSchouten:
         )
         assert (code, out) == (0, TETRA_FLOW_ON_CUBIC)
 
-    def test_dim_flag_checks_the_header(self, cli, q3_file, data_dir):
+    def test_dim_flag_is_a_usage_error(self, cli, q3_file, tetra_file, data_dir):
+        # The bivector file's ``dim`` header is the only source of its dimension.
         poisson = str(data_dir / "so3.poisson")
-        code, out, err = cli("eval", "--poisson", poisson, "--dim", "2", q3_file)
-        assert code == 2
-        assert "does not match --dim 2" in err
-        code, _, _ = cli("eval", "--poisson", poisson, "--dim", "3", q3_file)
-        assert code == 0
+        for argv in (
+            ["eval", "--poisson", poisson, "--dim", "3", q3_file],
+            ["verify-corollary", "--graph", tetra_file, "--poisson", poisson, "--dim", "3"],
+        ):
+            code, out, err = cli(*argv)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --dim" in err
 
     def test_sink_with_two_arrows_is_an_input_error(self, cli, tmp_path, data_dir):
         path = tmp_path / "bad.os"
@@ -510,3 +544,13 @@ class TestFold:
         assert code == 1
         assert out == ""
         assert err.startswith("error: skew-symmetry violated")
+
+    def test_self_paired_term_with_even_swap_sign_is_a_violation(self, cli, tmp_path):
+        path = tmp_path / "self.ogs"
+        path.write_text("1 * o 2 : 0 3 ; 1 2\n")
+        code, out, err = cli("fold", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: skew-symmetry violated: self-paired term Orgraph[2](0,3;1,2)"
+            " with even swap sign\n"
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,19 @@ class TestSumTextFormat:
                 continue
             with pytest.raises(ParseError, match=f"^line 2: {message}$"):
                 parse_graph_sum(text)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("h 2 1 : 1 2", "expected 'g <vertices> <edges> : ...'"),
+            ("g 2 1 1 2", "expected 'g <vertices> <edges> : ...'"),
+            ("g 2 : 1 2", "expected 'g <vertices> <edges> : ...'"),
+            ("g two 1 : 1 2", "vertex/edge counts must be integers"),
+            ("g 2 1.5 : 1 2", "vertex/edge counts must be integers"),
+            ("g 2 1 : 1 1", "loop edge at vertex 1"),
+            ("g 2 1 : 1 3", "edge (1, 3) out of range 1..2"),
+        ],
+    )
+    def test_bad_term(self, body, message):
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse_graph_sum(f"# sum\n2 * {body}\n")

@@ -73,6 +73,10 @@ class TestPermutations:
         assert edge_permutation_sign((0, 1, 2)) == 1
         assert edge_permutation_sign((1, 0, 2)) == -1
 
+    def test_repeated_entries_are_not_a_permutation(self):
+        with pytest.raises(GraphError, match="^not a permutation: repeated entries$"):
+            edge_permutation_sign((0, 1, 1))
+
     @given(st.permutations(range(6)))
     def test_sign_matches_inversion_parity(self, perm):
         assert edge_permutation_sign(perm) == (-1) ** inversion_count(perm)
@@ -235,6 +239,11 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(ParseError, match=r"line 1: expected header"):
             parse_graph("graph 2 1\n1 2\n")
+
+    @pytest.mark.parametrize("head", ["g two 1", "g 2 1.5"])
+    def test_non_integer_counts(self, head):
+        with pytest.raises(ParseError, match=r"^line 1: vertex/edge counts must be integers$"):
+            parse_graph(f"{head}\n1 2\n")
 
     def test_wrong_edge_count_is_position_annotated(self):
         with pytest.raises(ParseError, match=r"line 2: expected 6 edge lines, found 1"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +15,7 @@ from gckit import (
     GraphSum,
     Multivector,
     MultivectorError,
+    OrgraphError,
     ParseError,
     evaluate_orgraph,
     flow_commutator_check,
@@ -328,7 +330,7 @@ class TestOrgraphEvaluator:
         [([(0, 3), (0, 1)], 0), ([(0, 3), (4, 2), (2, 3)], 1), ([(3, 0), (2, 0)], 0)],
     )
     def test_each_sink_needs_exactly_one_arrow(self, so3, targets, sink):
-        with pytest.raises(MultivectorError, match=f"sink {sink} must receive exactly one arrow"):
+        with pytest.raises(OrgraphError, match=f"sink {sink} must receive exactly one arrow"):
             evaluate_orgraph(new_orgraph(targets), so3)
 
     def test_single_orgraph_and_sum_agree(self, so3):
@@ -484,6 +486,25 @@ class TestMultivectorTextFormat:
         with pytest.raises(ParseError, match=r"^xi index with more than \d+ digits at column 1$"):
             mv("xi" + "1" * (sys.get_int_max_str_digits() + 1) + "*x1", 2)
         assert mv("x2^0100", 2) == multivector_product(mv("x2^50", 2), mv("x2^50", 2))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1^x2", "integer exponent expected at column 4"),
+            ("x1 x2", "unexpected 'x2' at column 4"),
+            ("(x1 x2", "missing closing parenthesis at column 5"),
+            ("(x1", "missing closing parenthesis at column 4"),
+            ("((x1) ", "missing closing parenthesis at column 6"),
+            ("", "empty expression"),
+        ],
+    )
+    def test_malformed_expression(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_multivector(text, 2)
+
+    def test_parenthesised_and_negated_factors(self):
+        assert mv("(x1 + x2)*xi1", 2) == mv("x1*xi1 + x2*xi1", 2)
+        assert mv("x1*-x2", 2) == -mv("x1*x2", 2)
 
     def test_file_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="empty input"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from gckit import (
     GraphSum,
@@ -31,6 +32,7 @@ from gckit import (
     shape,
     sink_swap,
 )
+from test_oracles import orgraphs
 
 TETRA_FLOW_RAW = """\
 8 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
@@ -430,6 +432,13 @@ class TestFold:
         lam = new_orgraph([(0, 1), (2, 4), (2, 5), (2, 3)])
         s = OrgraphSum([(lam, Fraction(5))])
         assert fold_sink_swap(s) == s
+
+    @given(g=orgraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_an_orgraph_and_its_sink_swap_are_zero_together(self, g):
+        # Why fold never meets a nonzero term whose partner is zero.
+        assume(g.sink_count == 2)
+        assert normalize_orgraph(sink_swap(g)).is_zero == normalize_orgraph(g).is_zero
 
 
 # ---------------------------------------------------------------------------
