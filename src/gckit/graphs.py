@@ -16,7 +16,8 @@ row tells apart.  The next label goes to each member of the first cell in
 turn; its neighbours take the lowest labels of every cell, as any other
 choice gives a larger row, and each cell splits into neighbours, then the
 rest.  Only members with the least row recurse, and a branch stops once its
-rows exceed the best found, so every least labeling and parity is found.
+rows exceed the best found, so every least labeling and parity is found;
+:func:`_least_labeling` reads the least one, the common sign and the zero flag.
 """
 
 from __future__ import annotations
@@ -98,14 +99,20 @@ class SignedCanonicalGraph:
     is_zero: bool
 
 
+# The largest vertex count accepted; ``d`` of a graph this large is still quick.
+_MAX_VERTICES = 10_000
+
+
 def new_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> UnorientedGraph:
     """Build a graph, validating the simple-graph invariants.
 
-    Raises :class:`GraphError` for out-of-range labels, loop edges, and
-    repeated unordered pairs (``parallel edge``).
+    Raises :class:`GraphError` for a vertex count outside 1.._MAX_VERTICES,
+    out-of-range labels, loop edges, and repeated pairs (``parallel edge``).
     """
     if vertex_count < 1:
         raise GraphError(f"vertex count must be positive, got {vertex_count}")
+    if vertex_count > _MAX_VERTICES:
+        raise GraphError(f"vertex count above the maximum {_MAX_VERTICES}")
     seen: set[Edge] = set()
     normalized: list[Edge] = []
     for pair in edges:
@@ -189,10 +196,27 @@ def _minimal_labelings(
     return found
 
 
-def _graph_labelings(
+def _least_labeling(
+    neighbours: dict[int, set[int]], row: Callable, parity: Callable
+) -> tuple[dict[int, int], int, bool]:
+    """The least labeling, the sign all least labelings share, and the zero flag.
+
+    Of the labelings :func:`_minimal_labelings` finds, the one whose labels,
+    read in key order, are least is returned.  ``parity(label)`` counts the
+    transpositions the labeling costs; the flag is set, and the sign is 1,
+    when two least labelings have opposite parities.
+    """
+    labelings = _minimal_labelings(neighbours, row)
+    signs = {-1 if parity(label) % 2 else 1 for label in labelings}
+    is_zero = len(signs) == 2
+    least = min(labelings, key=lambda label: list(label.values()))
+    return least, 1 if is_zero else signs.pop(), is_zero
+
+
+def _graph_search(
     edges: Sequence[Edge], vertices: Iterable[int]
-) -> list[tuple[dict[int, int], list[Edge]]]:
-    """Least labelings of ``vertices``, each with ``edges`` relabeled from 1.
+) -> tuple[dict[int, set[int]], Callable, Callable]:
+    """Neighbours and row of the search on ``vertices``, and ``edges`` relabeled.
 
     A row lists the higher neighbours' labels and a terminator above every
     label, so that a longer row sorts first, as in a sorted edge list.
@@ -206,10 +230,10 @@ def _graph_labelings(
         higher = (label[u] for u in neighbours[v] if label[u] > label[v])
         return tuple(sorted(higher)) + (len(neighbours),)
 
-    return [
-        (label, [tuple(sorted((label[u] + 1, label[v] + 1))) for u, v in edges])
-        for label in _minimal_labelings(neighbours, row)
-    ]
+    def relabeled(label: dict[int, int]) -> list[Edge]:
+        return [tuple(sorted((label[u] + 1, label[v] + 1))) for u, v in edges]
+
+    return neighbours, row, relabeled
 
 
 @lru_cache(maxsize=None)
@@ -221,15 +245,17 @@ def _canonical_core(
     Returns ``(canonical_edges, sign, is_zero)`` where ``sign`` is the edge
     permutation parity from the reference presentation to the canonical one.
     Isolated vertices take the last labels in every least labeling and move
-    no edge, so only the vertices that carry an edge are searched.
+    no edge, so only the vertices that carry an edge are searched.  Every
+    least labeling gives the same sorted edges.
     """
     if not ref_edges:
         return ref_edges, 1, False
-    found = _graph_labelings(ref_edges, sorted({v for edge in ref_edges for v in edge}))
-    signs = {edge_permutation_sign(relabeled) for _, relabeled in found}
-    is_zero = len(signs) == 2
-    sign = 1 if is_zero else signs.pop()
-    return tuple(sorted(found[0][1])), sign, is_zero
+    vertices = sorted({v for edge in ref_edges for v in edge})
+    neighbours, row, relabeled = _graph_search(ref_edges, vertices)
+    label, sign, is_zero = _least_labeling(
+        neighbours, row, lambda label: inversion_count(relabeled(label))
+    )
+    return tuple(sorted(relabeled(label))), sign, is_zero
 
 
 def canonicalize(g: UnorientedGraph) -> SignedCanonicalGraph:
@@ -253,12 +279,13 @@ def automorphisms(g: UnorientedGraph) -> list[tuple[tuple[int, ...], int]]:
     induces on the edge list; the list is sorted by ``images``.  Each map
     takes the first least labeling to another; its sign is their parities' product.
     """
-    found = _graph_labelings(g.edges, range(1, g.vertex_count + 1))
-    signs = [edge_permutation_sign(relabeled) for _, relabeled in found]
+    neighbours, row, relabeled = _graph_search(g.edges, range(1, g.vertex_count + 1))
+    found = _minimal_labelings(neighbours, row)
+    signs = [edge_permutation_sign(relabeled(label)) for label in found]
     result = []
-    for (label, _), sign in zip(found, signs):
+    for label, sign in zip(found, signs):
         vertex_of = {lab: v for v, lab in label.items()}
-        images = tuple(vertex_of[found[0][0][v]] for v in label)
+        images = tuple(vertex_of[found[0][v]] for v in label)
         result.append((images, sign * signs[0]))
     return sorted(result)
 

@@ -25,9 +25,10 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .complexes import GraphSum, _Sum, _as_sum, _exact, bracket, differential
+from .complexes import EDGE_GRAPH, GraphSum, _Sum, _as_sum, _exact
+from .complexes import bracket, differential
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
-from .orient import Orgraph, OrgraphSum, _sink_arrows
+from .orient import Orgraph, OrgraphSum, _arrows_into
 
 __all__ = [
     "MultivectorError",
@@ -182,19 +183,16 @@ def x_derivative(f: Multivector, index: int) -> Multivector:
 def schouten(f: Multivector, g: Multivector) -> Multivector:
     """The Schouten bracket [[f, g]], extended bilinearly over components.
 
-    On homogeneous f of odd degree |f| it is
-    ``(-1)^(|f|-1) d/dxi(f)·d/dx(g) - d/dx(f)·d/dxi(g)`` summed over
-    coordinates, shifted-graded antisymmetric in its arguments.
+    On the part of f of degree |f| it is ``(-1)^(|f|-1)`` times the single
+    edge's operator on that part and g: ``(-1)^(|f|-1) d/dxi(f)·d/dx(g) -
+    d/dx(f)·d/dxi(g)`` summed over coordinates, shifted-graded antisymmetric.
     """
     if f.dimension != g.dimension:
         raise MultivectorError("dimension mismatch")
     out = Multivector(f.dimension)
     for degree, part in f.components():
         lead = -1 if (degree - 1) % 2 else 1
-        for alpha in range(f.dimension):
-            dxi, dx = xi_derivative(part, alpha), x_derivative(part, alpha)
-            out._add_sum(multivector_product(dxi, x_derivative(g, alpha)), lead)
-            out._add_sum(multivector_product(dx, xi_derivative(g, alpha)), -1)
+        out._add_sum(_evaluate_ordered(EDGE_GRAPH, [part, g], f.dimension), lead)
     return out
 
 
@@ -354,12 +352,9 @@ def _evaluate_single_orgraph(
     s = g.sink_count
     n = g.internal_count
     pairs = list(components)
-    sink_arrow = _sink_arrows(g)
-    sources: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, pair in enumerate(g.targets):
-        for slot, t in enumerate(pair):
-            if t >= s:
-                sources[t - s].append((i, slot))
+    into = _arrows_into(g)
+    sink_arrow = [arrow for arrow, in into[:s]]
+    sources = into[s:]
     ready: list[list[int]] = [[] for _ in range(n)]
     for k in range(n):
         ready[max([k] + [i for i, _ in sources[k]])].append(k)

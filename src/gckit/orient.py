@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
-from .graphs import _minimal_labelings
+from .graphs import _least_labeling
 from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
 __all__ = [
@@ -114,20 +114,22 @@ def new_orgraph(
     return Orgraph(sink_count, pairs)
 
 
-def _sink_arrows(g: Orgraph) -> list[tuple[int, int]]:
-    """The ``(vertex, slot)`` of the one arrow into each sink, in sink order.
+def _arrows_into(g: Orgraph) -> list[list[tuple[int, int]]]:
+    """The ``(vertex, slot)`` of every arrow into each label, sinks first.
 
-    Raises :class:`OrgraphError` unless every sink receives exactly one arrow.
+    Raises :class:`OrgraphError` for the first sink that does not receive
+    exactly one arrow.  The internal vertices emit only twice as many arrows
+    as there are of them, so a larger sink count fails within that many
+    sinks, before any table is built.
     """
-    into: list[list[tuple[int, int]]] = [[] for _ in range(g.sink_count)]
+    into: dict[int, list[tuple[int, int]]] = {}
     for i, pair in enumerate(g.targets):
         for slot, t in enumerate(pair):
-            if t < g.sink_count:
-                into[t].append((i, slot))
-    for sink, arrows in enumerate(into):
-        if len(arrows) != 1:
+            into.setdefault(t, []).append((i, slot))
+    for sink in range(g.sink_count):
+        if len(into.get(sink, ())) != 1:
             raise OrgraphError(f"sink {sink} must receive exactly one arrow")
-    return [arrows[0] for arrows in into]
+    return [into.get(t, []) for t in range(g.sink_count + g.internal_count)]
 
 
 def shape(g: Orgraph) -> str:
@@ -140,7 +142,7 @@ def shape(g: Orgraph) -> str:
     """
     if g.sink_count != 2:
         raise OrgraphError("not a bivector orgraph: needs exactly 2 sinks")
-    (first, _), (second, _) = _sink_arrows(g)
+    [(first, _)], [(second, _)] = _arrows_into(g)[:2]
     return "Lambda" if first == second else "Pi"
 
 
@@ -178,7 +180,7 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     sign-free (each pair is two consecutive entries of the edge wedge);
     presenting a pair in swapped order costs one sign.  The orgraph is zero
     when a pair repeats a target, or when two relabelings reach the minimal
-    encoding with opposite swap signs, found by :func:`gckit.graphs._minimal_labelings`.
+    encoding with opposite swap signs, read by :func:`gckit.graphs._least_labeling`.
     """
     key = (g.sink_count, g.targets)
     cached = _NORMALIZE_CACHE.get(key)
@@ -186,34 +188,24 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
         return cached
     s, n = g.sink_count, g.internal_count
 
-    if any(a == b for a, b in g.targets):
-        sorted_pairs = tuple(
-            (a, b) if a <= b else (b, a) for a, b in sorted(g.targets)
-        )
-        result = NormalizedOrgraph(
-            Orgraph(s, sorted_pairs), 1, True, tuple(range(n))
-        )
-        _NORMALIZE_CACHE[key] = result
-        return result
-
     def mapped(v: int, label: dict[int, int]) -> list[int]:
         return [t if t < s else s + label[t - s] for t in g.targets[v]]
 
     def row(v: int, label: dict[int, int]) -> tuple[int, ...]:
         return tuple(sorted(mapped(v, label)))
 
-    neighbours = {v: {t - s for t in g.targets[v] if t >= s} for v in range(n)}
-    labelings = _minimal_labelings(neighbours, row)
-    best_signs = {
-        -1 if sum(a > b for a, b in (mapped(v, label) for v in range(n))) % 2 else 1
-        for label in labelings
-    }
-    label_of = min(labelings, key=lambda label: [label[v] for v in range(n)])
-    best_order = sorted(range(n), key=label_of.__getitem__)
-    best_pairs = tuple(row(v, label_of) for v in best_order)
-    is_zero = len(best_signs) == 2
-    sign = 1 if is_zero else best_signs.pop()
-    result = NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, tuple(best_order))
+    def swaps(label: dict[int, int]) -> int:
+        return sum(a > b for a, b in (mapped(v, label) for v in range(n)))
+
+    if any(a == b for a, b in g.targets):
+        pairs = tuple((a, b) if a <= b else (b, a) for a, b in sorted(g.targets))
+        sign, is_zero, order = 1, True, tuple(range(n))
+    else:
+        neighbours = {v: {t - s for t in g.targets[v] if t >= s} for v in range(n)}
+        label_of, sign, is_zero = _least_labeling(neighbours, row, swaps)
+        order = tuple(sorted(range(n), key=label_of.__getitem__))
+        pairs = tuple(row(v, label_of) for v in order)
+    result = NormalizedOrgraph(Orgraph(s, pairs), sign, is_zero, order)
     _NORMALIZE_CACHE[key] = result
     return result
 
@@ -319,18 +311,14 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
     witnesses: list[OrientationWitness] = []
     for mask in range(1 << e):
         outdeg = [0] * (n + 1)
-        ok = True
-        for i, (u, v) in enumerate(g.edges):
-            tail = v if (mask >> i) & 1 else u
+        for tail, _ in _directed(g.edges, mask):
             outdeg[tail] += 1
             if outdeg[tail] > 2:
-                ok = False
                 break
-        if not ok:
-            continue
-        deficits = [2 - outdeg[v] for v in range(1, n + 1)]
-        for assignment in _label_distributions(labels, deficits):
-            witnesses.append(OrientationWitness(g, s, mask, assignment))
+        else:
+            deficits = [2 - outdeg[v] for v in range(1, n + 1)]
+            for assignment in _label_distributions(labels, deficits):
+                witnesses.append(OrientationWitness(g, s, mask, assignment))
     return witnesses
 
 
@@ -513,26 +501,15 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
             continue
         if shape(key) == "Pi":
             norm = normalize_orgraph(sink_swap(key))
-            partner, rho = norm.orgraph, norm.sign
-            if partner == key:
-                if rho != -1:
-                    raise SkewSymmetryError(
-                        f"skew-symmetry violated: self-paired term {key!r} with"
-                        " even swap sign"
-                    )
-            else:
-                q2 = s._terms.get(partner, 0)
-                if q2 == 0:
-                    raise SkewSymmetryError(
-                        f"skew-symmetry violated: term {key!r} has no"
-                        " sink-swapped partner"
-                    )
-                if q2 != -rho * q:
-                    raise SkewSymmetryError(
-                        f"skew-symmetry violated: {key!r} and its partner have"
-                        " incompatible coefficients"
-                    )
-                partners.add(partner)
+            if s._terms.get(norm.orgraph, 0) != -norm.sign * q:
+                if norm.orgraph == key:
+                    problem = f"self-paired term {key!r} with even swap sign"
+                elif norm.orgraph not in s._terms:
+                    problem = f"term {key!r} has no sink-swapped partner"
+                else:
+                    problem = f"{key!r} and its partner have incompatible coefficients"
+                raise SkewSymmetryError(f"skew-symmetry violated: {problem}")
+            partners.add(norm.orgraph)
         out._add(key, q)
     return out
 

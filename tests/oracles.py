@@ -23,7 +23,9 @@ that enumerates every tuple of index pairs before it prunes, the algebraic
 evaluator's placement loop over all ``n!`` permutations, and its placement
 of the arguments by one ``multivector_product`` per vertex followed by a
 range-checked restriction to the diagonal, all kept unchanged from
-``gckit.multivectors``.
+``gckit.multivectors``.  So is the Schouten bracket that summed derivative
+products coordinate by coordinate, before it became the single edge's
+operator.
 
 The witness moves are the two-loop ``elementary_moves``, which rebuilds the
 sink lists and the target witness once per kind of move, and the
@@ -359,6 +361,25 @@ def edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
     if size < edge_count:
         level = {tuple(e for e in pairs if e not in edges) for edges in level}
     return level
+
+
+def schouten(f: Multivector, g: Multivector) -> Multivector:
+    """The Schouten bracket [[f, g]], extended bilinearly over components.
+
+    On homogeneous f of odd degree |f| it is
+    ``(-1)^(|f|-1) d/dxi(f)·d/dx(g) - d/dx(f)·d/dxi(g)`` summed over
+    coordinates, shifted-graded antisymmetric in its arguments.
+    """
+    if f.dimension != g.dimension:
+        raise MultivectorError("dimension mismatch")
+    out = Multivector(f.dimension)
+    for degree, part in f.components():
+        lead = -1 if (degree - 1) % 2 else 1
+        for alpha in range(f.dimension):
+            dxi, dx = xi_derivative(part, alpha), x_derivative(part, alpha)
+            out._add_sum(multivector_product(dxi, x_derivative(g, alpha)), lead)
+            out._add_sum(multivector_product(dx, xi_derivative(g, alpha)), -1)
+    return out
 
 
 def edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:

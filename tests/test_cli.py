@@ -250,6 +250,24 @@ class TestDifferentialAndCocycle:
         assert out == ""
         assert err == "error: line 1: expected 6 edge lines, found 1\n"
 
+    @pytest.mark.parametrize("verb", ["d", "orient"])
+    @pytest.mark.parametrize(
+        "text", ["g 99999999999999999999 0\n", "1 * g 99999999999999999999 0 :\n"],
+        ids=["graph", "sum"],
+    )
+    def test_overlarge_vertex_count_is_an_input_error(self, cli, tmp_path, verb, text):
+        path = tmp_path / "wide.g"
+        path.write_text("# wide\n" + text)
+        code, out, err = cli(verb, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: vertex count above the maximum 10000\n"
+
+    def test_largest_vertex_count_is_allowed(self, cli, tmp_path):
+        path = tmp_path / "empty.g"
+        path.write_text("g 10000 0\n")
+        code, _, _ = cli("d", str(path))
+        assert code == 0
+
 
 class TestKernel:
     def test_tetrahedron_bigrading(self, cli):
@@ -448,6 +466,17 @@ class TestEvalAndSchouten:
         path.write_text("1 * o 2 : 0 3 ; 0 1\n")
         code, out, err = cli("eval", "--poisson", str(data_dir / "so3.poisson"), str(path))
         assert (code, out, err) == (2, "", "error: sink 0 must receive exactly one arrow\n")
+
+    def test_more_sinks_than_arrows_fail_at_once(self, cli, tmp_path, data_dir):
+        path = tmp_path / "many.os"
+        path.write_text("1 * o 1 30000000 : 0 1\n")
+        start = time.perf_counter()
+        code, out, err = cli("eval", "--poisson", str(data_dir / "so3.poisson"), str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "error: sink 2 must receive exactly one arrow\n")
+        path.write_text("o 1 30000000 : 0 1\n")
+        code, out, _ = cli("normalize", str(path))
+        assert (code, out) == (0, "1 * o 1 30000000 : 0 1\n")
 
     def test_pentagon_wheel_flow_of_poisson_bivector_vanishes(
         self, cli, tmp_path, data_dir

@@ -21,6 +21,9 @@ multivectors, graphs, orgraphs and bivectors, the placement loop over
 all ``n!`` permutations, compared with the average over distinct
 arrangements on graphs with at most four vertices, and the placement by
 repeated products, compared with the one tensor product on the same graphs.
+The per-coordinate Schouten bracket is compared with the single edge's
+operator on random multivectors with at most four coordinates: odd and
+even, inhomogeneous and zero ones.
 The two-loop elementary moves are compared, order included, with the one
 trade on every witness of the rules-check corpus, and the fold that could
 keep either member of a Pi pair with the fold that keeps the first, on the
@@ -274,6 +277,14 @@ def test_edge_operator_matches_oracle(data):
     big = data.draw(multivectors(copies * d, max_degree=3))
     u, v = data.draw(st.permutations(range(copies)))[:2]
     assert mv._edge_operator(big, u, v, d) == oracles.edge_operator(big, u, v, d)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_schouten_matches_oracle(data):
+    d = data.draw(st.integers(1, 4))
+    f, g = (data.draw(multivectors(d, max_degree=4)) for _ in range(2))
+    assert mv.schouten(f, g) == oracles.schouten(f, g)
 
 
 @given(data=st.data())

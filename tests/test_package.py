@@ -79,3 +79,18 @@ def test_every_private_helper_is_referenced():
             if sum(len(word.findall(text)) for text in texts) == 1:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreferenced, unreferenced
+
+
+def test_readme_names_only_defined_private_names():
+    """Every private name in backticks in the README, bare or as
+    ``module._name``, is defined in a module of ``src/gckit``."""
+    modules = {name: importlib.import_module(f"gckit.{name}") for name in [*MODULES, "cli"]}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"`(?:(\w+)\.)?(_[^\W_]\w*)[`(]", text)
+    assert names
+    missing = [
+        f"{owner}.{name}" if owner else name
+        for owner, name in names
+        if not any(hasattr(modules[key], name) for key in modules if owner in ("", key))
+    ]
+    assert not missing, f"README names undefined {missing}"
