@@ -27,7 +27,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .complexes import EDGE_GRAPH, GraphSum, _Sum, _as_sum, _exact
 from .complexes import bracket, differential
-from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
+from .graphs import ParseError, UnorientedGraph, automorphisms, inversion_count
+from .graphs import significant_lines
 from .orient import Orgraph, OrgraphSum, _arrows_into
 
 __all__ = [
@@ -262,16 +263,15 @@ def _is_odd_argument(mv: Multivector) -> bool:
     return any(degree % 2 for degree in mv.xi_degrees())
 
 
-def _arrangements(args: Sequence[Multivector]) -> Iterator[list[Multivector]]:
-    """Every distinct ordering of ``args`` once; equal arguments are alike."""
-    if not args:
-        yield []
+def _arrangements(labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of ``labels`` once."""
+    if not labels:
+        yield ()
         return
-    for i, first in enumerate(args):
-        if any(first == earlier for earlier in args[:i]):
-            continue
-        for rest in _arrangements(args[:i] + args[i + 1:]):
-            yield [first] + rest
+    for first in dict.fromkeys(labels):
+        i = labels.index(first)
+        for rest in _arrangements(labels[:i] + labels[i + 1:]):
+            yield (first, *rest)
 
 
 def or_evaluate_algebraic(
@@ -286,6 +286,15 @@ def or_evaluate_algebraic(
     the arguments: each occurs ``m1! m2! ...`` times among the ``n!``
     placements when the arguments fall into classes of ``m1, m2, ...`` equal
     ones, which leaves the average unchanged.
+
+    An automorphism σ of the graph moves the arguments of one arrangement
+    to another and reorders the edges by a permutation σ_E.  Moving even
+    arguments, or one odd one past even ones, costs no sign, and the edge
+    operators are odd, so they anticommute: the two values differ by
+    ``sign(σ_E)``.  If some σ_E is odd, the placements cancel in pairs and
+    the average is zero.  Otherwise the value is constant on each orbit of
+    the automorphism group, and one arrangement per orbit is evaluated,
+    weighted by the orbit's size.
     """
     n = graph.vertex_count
     if len(args) != n:
@@ -295,10 +304,22 @@ def or_evaluate_algebraic(
         raise MultivectorError("dimension mismatch")
     if sum(_is_odd_argument(a) for a in args) > 1:
         raise MultivectorError("well-definedness precondition violated")
+    labels = [next(j for j, b in enumerate(args) if a == b) for a in args]
+    arrangements = list(_arrangements(labels))
+    if len(arrangements) == 1:
+        return _evaluate_ordered(graph, args, d)
+    group = automorphisms(graph)
     total = Multivector(d)
-    arrangements = list(_arrangements(list(args)))
-    for placed in arrangements:
-        total._add_sum(_evaluate_ordered(graph, placed, d))
+    if any(sign < 0 for _, sign in group):
+        return total
+    seen: set[tuple[int, ...]] = set()
+    for arrangement in arrangements:
+        if arrangement in seen:
+            continue
+        orbit = {tuple(arrangement[v - 1] for v in images) for images, _ in group}
+        seen |= orbit
+        placed = [args[j] for j in arrangement]
+        total._add_sum(_evaluate_ordered(graph, placed, d), len(orbit))
     return total * Fraction(1, len(arrangements))
 
 
@@ -341,7 +362,10 @@ def _evaluate_single_orgraph(
     Internal vertices choose their index pair in order.  A vertex's factor is
     its component differentiated by the indices on its in-arrows, so it is
     multiplied into the partial product as soon as the vertex and all of its
-    sources have chosen, and a zero factor or product ends the branch.
+    sources have chosen, and a zero factor or product ends the branch.  A
+    vertex with more in-arrows than the highest total degree of the
+    bivector's coefficients has a zero factor for every choice, so such an
+    orgraph is zero before any index is chosen.
     ``factors`` memoizes the factors by pair and derivative indices.  A
     sink's odd factor is the index on its one arrow; once all of them are
     chosen, a repeated sink index ends the branch too.  Raises
@@ -355,12 +379,15 @@ def _evaluate_single_orgraph(
     into = _arrows_into(g)
     sink_arrow = [arrow for arrow, in into[:s]]
     sources = into[s:]
+    out = Multivector(d)
+    top_degree = max((sum(xexp) for xexp, _ in p._terms), default=0)
+    if any(len(arrows) > top_degree for arrows in sources):
+        return out
     ready: list[list[int]] = [[] for _ in range(n)]
     for k in range(n):
         ready[max([k] + [i for i, _ in sources[k]])].append(k)
     sinks_known = max([i for i, _ in sink_arrow], default=0)
     chosen: list[tuple[int, int]] = [(0, 0)] * n
-    out = Multivector(d)
 
     def sink_indices() -> tuple[int, ...]:
         return tuple(chosen[i][slot] for i, slot in sink_arrow)

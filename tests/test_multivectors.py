@@ -114,13 +114,15 @@ def multivectors(
     degree: int | None = None,
     coefficients=COEFFICIENTS,
     max_degree: int = 2,
+    max_terms: int = 4,
 ) -> Multivector:
-    """At most 4 terms, exponents <= 2, xi-degree <= max_degree, small coefficients.
+    """At most max_terms terms, exponents <= 2, xi-degree <= max_degree, small
+    coefficients.
 
     Odd factors are drawn unsorted, so add_term's normal ordering is exercised.
     """
     out = Multivector(d)
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_terms))):
         k = draw(st.integers(0, min(max_degree, d))) if degree is None else degree
         xexp = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
         xis = draw(st.permutations(range(d)))[:k]
@@ -303,21 +305,33 @@ class TestAlgebraicEvaluator:
         assert q.xi_degrees() <= {2}
 
     @pytest.mark.parametrize(
-        "pattern, arrangements",
-        [("aaaa", 1), ("oaaa", 4), ("aabb", 6), ("abba", 6), ("aaab", 4)],
+        "pattern, graph_name, orbits",
+        [
+            ("aaaa", "tetra", 1),
+            ("oaaa", "tetra", 1),
+            ("aabb", "tetra", 1),
+            ("abba", "tetra", 1),
+            ("aaab", "tetra", 1),
+            ("aaoaaa", "wheel5", 2),
+            ("aab", "path3", 0),
+        ],
     )
     def test_each_distinct_arrangement_is_evaluated_once(
-        self, tetra, so3, cubic3, pattern, arrangements
+        self, so3, cubic3, pattern, graph_name, orbits, request
     ):
+        # At most once, and only one arrangement per automorphism orbit: K4 is
+        # vertex-transitive, the wheel's odd argument sits at the hub or on
+        # the rim, and path3 has an odd automorphism, so nothing is evaluated.
+        graph = request.getfixturevalue(graph_name)
         args = {"a": so3, "b": cubic3, "o": mv("x1*xi2", 3)}
         with mock.patch.object(
             multivector_module,
             "_evaluate_ordered",
             wraps=multivector_module._evaluate_ordered,
         ) as evaluate:
-            or_evaluate_algebraic(tetra, [args[c] for c in pattern])
+            or_evaluate_algebraic(graph, [args[c] for c in pattern])
         placed = [tuple(map(id, call.args[1])) for call in evaluate.call_args_list]
-        assert len(placed) == len(set(placed)) == arrangements
+        assert len(placed) == len(set(placed)) == orbits
 
 
 class TestOrgraphEvaluator:
@@ -360,6 +374,15 @@ class TestOrgraphEvaluator:
             algebraic += coeff * or_evaluate_algebraic(graph, [p] * 6)
         assert direct == algebraic
         assert len(direct) == (45 if p_name == "cubic3" else 0)
+
+    def test_orgraphs_zero_by_degree_enter_no_recursion(self, pentagon_cocycle, so3):
+        # so3 is linear, and 10 arrows into 6 internal vertices put two on one.
+        flow = orient(pentagon_cocycle)
+        with mock.patch.object(
+            multivector_module, "multivector_product", wraps=multivector_product
+        ) as product:
+            assert not evaluate_orgraph(flow, so3)
+        product.assert_not_called()
 
     def test_tetra_flow_on_so3_vanishes(self, tetra, so3):
         assert not evaluate_orgraph(orient(tetra), so3)
