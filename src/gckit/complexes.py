@@ -72,6 +72,8 @@ class _Sum:
     coefficient per key, an ``int`` while it is integral, and drops the keys
     whose coefficients cancel.  Keys sort by their ``sort_key``.  Every empty
     result is built by ``_empty``, which a subclass with parameters overrides.
+    ``add`` and ``coefficient`` normalize an element before they build or read
+    the sum, ``items`` lists it, and ``of`` takes an element for its sum.
     """
 
     __slots__ = ("_terms",)
@@ -79,7 +81,7 @@ class _Sum:
     def __init__(self, terms: Iterable[tuple[Hashable, Rational]] = ()) -> None:
         self._terms: dict = {}
         for element, coeff in terms:
-            self._add_element(element, coeff)
+            self.add(element, coeff)
 
     @staticmethod
     def _normalize(element) -> tuple[Hashable, int] | None:
@@ -89,7 +91,12 @@ class _Sum:
         """A zero sum of the same kind as this one."""
         return type(self)()
 
-    def _add_element(self, element, coeff: Rational) -> None:
+    @classmethod
+    def of(cls, x):
+        """``x`` itself when it is a sum of this kind, else ``x`` with coefficient 1."""
+        return x if isinstance(x, cls) else cls([(x, 1)])
+
+    def add(self, element, coeff: Rational) -> None:
         """Accumulate ``coeff`` times ``element``, normalized even for a zero ``coeff``."""
         norm = self._normalize(element)
         coeff = _exact(coeff)
@@ -115,7 +122,8 @@ class _Sum:
     def coefficient(self, element) -> Rational:
         """Coefficient of ``element`` after normalizing it, ``int | Fraction``.
 
-        It is an ``int`` when integral, and ``0`` for a zero or absent element.
+        It is an ``int`` when integral, and ``0`` for a zero or absent element;
+        a malformed element raises whatever ``_normalize`` raises.
         """
         norm = self._normalize(element)
         if norm is None:
@@ -195,16 +203,8 @@ class GraphSum(_Sum):
         sc = canonicalize(g)
         return None if sc.is_zero else (sc.canonical, sc.sign)
 
-    add_graph = _Sum._add_element
-
 
 EDGE_GRAPH = new_graph(2, [(1, 2)])
-
-
-def _as_sum(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
-    if isinstance(x, GraphSum):
-        return x
-    return GraphSum([(x, 1)])
 
 
 def _reattachments(
@@ -241,7 +241,10 @@ def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
     on labels ``n1+1..``) and every edge end that was attached to ``v`` is
     reattached to a vertex of ``g1``, in all ``n1**deg(v)`` ways.  The edge
     order of each resulting graph is the edges of ``g1`` followed by the
-    edges of ``g2``, reattached edges keeping their positions.
+    edges of ``g2``, reattached edges keeping their positions.  No edge
+    repeats: those of ``g1`` lie within ``1..n1``, the kept edges of ``g2``
+    above ``n1``, and each reattached one joins ``1..n1`` to a different old
+    neighbour of ``v``, above ``n1``.
     """
     n1, n2 = g1.vertex_count, g2.vertex_count
     degrees = g2.degrees()
@@ -249,10 +252,7 @@ def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
     for v in range(1, n2 + 1):
         attachments = product(range(1, n1 + 1), repeat=degrees[v - 1])
         for tail in _reattachments(g2, v, n1, attachments):
-            edges = list(g1.edges) + tail
-            if len(set(edges)) != len(edges):
-                continue
-            result.add_graph(UnorientedGraph(n1 + n2 - 1, tuple(edges)), 1)
+            result.add(UnorientedGraph(n1 + n2 - 1, (*g1.edges, *tail)), 1)
     return result
 
 
@@ -265,8 +265,8 @@ def bracket(
     insert(y, x)`` where ``e`` counts edges.
     """
     total = GraphSum()
-    for g1, c1 in _as_sum(x).items():
-        for g2, c2 in _as_sum(y).items():
+    for g1, c1 in GraphSum.of(x).items():
+        for g2, c2 in GraphSum.of(y).items():
             c = c1 * c2
             sign = -1 if (g1.edge_count * g2.edge_count) % 2 else 1
             total._add_sum(insert(g1, g2), c)
@@ -298,7 +298,7 @@ def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
       cancel.
     """
     total = GraphSum()
-    for g, c in _as_sum(x)._terms.items():
+    for g, c in GraphSum.of(x)._terms.items():
         n = g.vertex_count
         degrees = g.degrees()
         for v in range(1, n + 1):
@@ -316,7 +316,7 @@ def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
                 cancelled = {alone[i] for i, w in enumerate(ends) if degrees[w - 1] >= 3}
                 splits = [s for s in splits if s not in cancelled]
             for tail in _reattachments(g, v, 2, splits):
-                total.add_graph(UnorientedGraph(n + 1, ((1, 2), *tail)), coeff)
+                total.add(UnorientedGraph(n + 1, ((1, 2), *tail)), coeff)
     return total
 
 
@@ -464,7 +464,7 @@ def parse_graph_sum(text: str) -> GraphSum:
         if len(edges) != m:
             raise ParseError(f"expected {m} edges, found {len(edges)}", lineno)
         try:
-            total.add_graph(new_graph(n, edges), coeff)
+            total.add(new_graph(n, edges), coeff)
         except GraphError as exc:
             raise ParseError(str(exc), lineno) from exc
     return total

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .complexes import EDGE_GRAPH, GraphSum, _Sum, _as_sum, _exact
+from .complexes import EDGE_GRAPH, GraphSum, _Sum, _exact
 from .complexes import bracket, differential
 from .graphs import ParseError, UnorientedGraph, automorphisms, inversion_count
 from .graphs import significant_lines
@@ -73,7 +73,8 @@ def _normal_order(xis: Sequence[int]) -> tuple[XiSet, int] | None:
 class Multivector(_Sum):
     """A polynomial multivector field on R^d with exact coefficients.
 
-    A term's key is ``(xexp, xis)``, its odd indices normal ordered.
+    A term's key is ``(xexp, xis)``, its odd indices normal ordered; ``add``
+    and ``coefficient`` take a term as that pair and range-check it first.
     """
 
     __slots__ = ("dimension",)
@@ -99,12 +100,6 @@ class Multivector(_Sum):
         ordered = _normal_order(xis)
         return None if ordered is None else ((tuple(xexp), ordered[0]), ordered[1])
 
-    def add_term(
-        self, xexp: Sequence[int], xis: Sequence[int], coeff: int | Fraction
-    ) -> None:
-        """Accumulate one term, normal-ordering the odd factors."""
-        self._add_element((xexp, xis), coeff)
-
     def _add_sum(self, other: "Multivector", factor: int | Fraction = 1) -> None:
         if self.dimension != other.dimension:
             raise MultivectorError("dimension mismatch")
@@ -112,13 +107,6 @@ class Multivector(_Sum):
 
     def items(self) -> list[tuple[TermKey, int | Fraction]]:
         return sorted(self._terms.items())
-
-    def coefficient(self, xexp: Sequence[int], xis: Sequence[int]) -> int | Fraction:
-        """The coefficient of one monomial: an ``int`` when integral."""
-        ordered = _normal_order(xis)
-        if ordered is None:
-            return 0
-        return self._terms.get((tuple(xexp), ordered[0]), 0) * ordered[1]
 
     def xi_degrees(self) -> set[int]:
         return {len(xis) for _, xis in self._terms}
@@ -396,7 +384,7 @@ def _evaluate_single_orgraph(
         if vertex == n:
             indices = sink_indices()
             for (xexp, _), coeff in value._terms.items():
-                out.add_term(xexp, indices, coeff)
+                out.add((xexp, indices), coeff)
             return
         for pair in pairs:
             chosen[vertex] = pair
@@ -435,11 +423,9 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     if not is_bivector(p):
         raise MultivectorError("bivector required")
     components = _bivector_components(p)
-    if isinstance(source, Orgraph):
-        source = OrgraphSum([(source, 1)])
     factors: dict[tuple, Multivector] = {}
     total = Multivector(p.dimension)
-    for g, coeff in source.items():
+    for g, coeff in OrgraphSum.of(source).items():
         total._add_sum(_evaluate_single_orgraph(g, p, components, factors), coeff)
     return total
 
@@ -482,7 +468,7 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
-    gamma = _as_sum(gamma)
+    gamma = GraphSum.of(gamma)
     _check_flow_sum(gamma)
     rhs = 2 * schouten(p, _flow(gamma, p))
     rhs._add_sum(_flow(gamma, p, schouten(p, p)), -1)
@@ -501,8 +487,8 @@ def flow_commutator_check(
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
-    gamma1 = _as_sum(gamma1)
-    gamma2 = _as_sum(gamma2)
+    gamma1 = GraphSum.of(gamma1)
+    gamma2 = GraphSum.of(gamma2)
     if not gamma1 or not gamma2:
         raise MultivectorError("empty graph sum")
     _check_flow_sum(gamma1)
@@ -652,9 +638,9 @@ class _ExpressionParser:
             out = Multivector(self.dimension)
             if kind == "x":
                 xexp = tuple(1 if k == index - 1 else 0 for k in range(self.dimension))
-                out.add_term(xexp, (), 1)
+                out.add((xexp, ()), 1)
             else:
-                out.add_term((0,) * self.dimension, (index - 1,), 1)
+                out.add(((0,) * self.dimension, (index - 1,)), 1)
             return out
         if kind == "op" and text == "(":
             value = self.expression()
@@ -672,7 +658,7 @@ class _ExpressionParser:
 
 def _constant(dimension: int, value: int | Fraction) -> Multivector:
     out = Multivector(dimension)
-    out.add_term((0,) * dimension, (), value)
+    out.add(((0,) * dimension, ()), value)
     return out
 
 

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import factorial, prod
 from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
@@ -296,12 +297,18 @@ def _label_distributions(
             yield (chosen,) + tail
 
 
+# The most witnesses :func:`enumerate_orientations` builds; ``g 5 0`` has 113,400.
+_MAX_WITNESSES = 200_000
+
+
 def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
     """All orientation witnesses of ``g``.
 
     Every vertex must emit exactly two items, so the number of sinks is
     forced to ``2n - e``.  Sink labels are distributed over the deficient
     vertices in every possible way, each distribution a separate witness.
+    Their count, ``s! / prod(deficit!)`` per edge mask, is added up before
+    they are built, and :class:`OrgraphError` is raised past ``_MAX_WITNESSES``.
     """
     n, e = g.vertex_count, g.edge_count
     s = 2 * n - e
@@ -309,6 +316,7 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
         return []
     labels = tuple(range(s))
     witnesses: list[OrientationWitness] = []
+    count = 0
     for mask in range(1 << e):
         outdeg = [0] * (n + 1)
         for tail, _ in _directed(g.edges, mask):
@@ -317,6 +325,9 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
                 break
         else:
             deficits = [2 - outdeg[v] for v in range(1, n + 1)]
+            count += factorial(s) // prod(map(factorial, deficits))
+            if count > _MAX_WITNESSES:
+                raise OrgraphError(f"orientation witnesses above the maximum {_MAX_WITNESSES}")
             for assignment in _label_distributions(labels, deficits):
                 witnesses.append(OrientationWitness(g, s, mask, assignment))
     return witnesses
@@ -342,8 +353,6 @@ class OrgraphSum(_Sum):
     def _normalize(g: Orgraph) -> tuple[Orgraph, int] | None:
         norm = normalize_orgraph(g)
         return None if norm.is_zero else (norm.orgraph, norm.sign)
-
-    add_orgraph = _Sum._add_element
 
 
 def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
@@ -822,7 +831,7 @@ def parse_orgraph_sum(text: str) -> OrgraphSum:
     """Parse a combination, one ``<rational> * o ...`` term per line."""
     total = OrgraphSum()
     for lineno, coeff, rest in _sum_lines(text, "o"):
-        total.add_orgraph(_parse_orgraph_body(rest.strip(), lineno), coeff)
+        total.add(_parse_orgraph_body(rest.strip(), lineno), coeff)
     return total
 
 

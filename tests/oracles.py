@@ -50,7 +50,7 @@ from gckit.graphs import (
     edge_permutation_sign,
     is_connected,
 )
-from gckit.complexes import EDGE_GRAPH, GraphSum, Rational, _as_sum
+from gckit.complexes import EDGE_GRAPH, GraphSum, Rational
 from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
@@ -250,7 +250,7 @@ def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
             edges = list(g1.edges) + tail
             if len(set(edges)) != len(edges):
                 continue
-            result.add_graph(UnorientedGraph(n1 + n2 - 1, tuple(edges)), 1)
+            result.add(UnorientedGraph(n1 + n2 - 1, tuple(edges)), 1)
     return result
 
 
@@ -263,8 +263,8 @@ def bracket(
     insert(y, x)`` where ``e`` counts edges.
     """
     total = GraphSum()
-    for g1, c1 in _as_sum(x).items():
-        for g2, c2 in _as_sum(y).items():
+    for g1, c1 in GraphSum.of(x).items():
+        for g2, c2 in GraphSum.of(y).items():
             c = c1 * c2
             sign = -1 if (g1.edge_count * g2.edge_count) % 2 else 1
             total._add_sum(insert(g1, g2), c)
@@ -435,7 +435,7 @@ def evaluate_single_orgraph(
             if not value:
                 return
         for (xexp, _), coeff in value._terms.items():
-            out.add_term(xexp, tuple(sink_indices), coeff)
+            out.add((xexp, tuple(sink_indices)), coeff)
 
     recurse(0, [])
     return out * Fraction(1, math.factorial(s))
@@ -499,7 +499,7 @@ def _diagonal(big: Multivector, copies: int, d: int) -> Multivector:
             sum(big_x[copy * d + alpha] for copy in range(copies))
             for alpha in range(d)
         )
-        out.add_term(xexp, tuple(i % d for i in big_xis), coeff)
+        out.add((xexp, tuple(i % d for i in big_xis)), coeff)
     return out
 
 

@@ -8,6 +8,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -399,6 +400,25 @@ class TestOrient:
         assert code == 0
         assert out.splitlines()[0] == "16 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3"
 
+    @pytest.mark.parametrize("verb", ["orient", "rules-check"])
+    def test_too_many_witnesses_fail_at_once(self, cli, tmp_path, verb):
+        # Twelve sinks over six isolated vertices: 12!/2^6 = 7,484,400 witnesses.
+        path = tmp_path / "g60.g"
+        path.write_text("g 6 0\n")
+        start = time.perf_counter()
+        code, out, err = cli(verb, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: orientation witnesses above the maximum 200000\n"
+
+    def test_many_sinks_within_the_bound_still_orient(self, cli, tmp_path):
+        # Eight sinks over four isolated vertices: 8!/2^4 = 2,520 witnesses.
+        path = tmp_path / "g40.g"
+        path.write_text("g 4 0\n")
+        code, out, _ = cli("orient", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "24 * o 4 8 : 0 1 ; 2 3 ; 4 5 ; 6 7"
+
 
 class TestNormalize:
     def test_sign_of_presentation(self, cli, tmp_path):
@@ -547,6 +567,15 @@ class TestVerifyCorollary:
             "--poisson", str(data_dir / "so3.poisson"),
         )
         assert (code, out) == (0, "corollary: yes\n")
+
+    def test_failure_exits_1(self, cli, tetra_file, data_dir):
+        with mock.patch("gckit.cli.verify_corollary", return_value=False):
+            code, out, _ = cli(
+                "verify-corollary",
+                "--graph", tetra_file,
+                "--poisson", str(data_dir / "so3.poisson"),
+            )
+        assert (code, out) == (1, "corollary: no\n")
 
     @pytest.mark.parametrize("text", ["x1*xi1*xi2 + x2", "x1*xi1"])
     def test_rejects_a_non_bivector(self, cli, tmp_path, tetra_file, text):

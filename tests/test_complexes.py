@@ -33,7 +33,7 @@ def pentagon():
 class TestGraphSum:
     def test_zero_graphs_are_dropped(self, path3):
         s = GraphSum()
-        s.add_graph(path3, 5)
+        s.add(path3, 5)
         assert not s
         assert len(s) == 0
 
@@ -59,7 +59,7 @@ class TestGraphSum:
     def test_copy_is_independent(self, edge):
         s = GraphSum([(edge, 1)])
         t = s.copy()
-        t.add_graph(edge, 1)
+        t.add(edge, 1)
         assert s.coefficient(edge) == 1
         assert t.coefficient(edge) == 2
 

@@ -85,14 +85,27 @@ class TestMultivector:
 
     def test_zero_coefficient_still_checks_the_term(self):
         with pytest.raises(MultivectorError, match="odd index out of range"):
-            Multivector(2).add_term((0, 0), (5,), 0)
+            Multivector(2).add(((0, 0), (5,)), 0)
         with pytest.raises(MultivectorError, match="exponent vector length mismatch"):
-            Multivector(2).add_term((0,), (), 0)
+            Multivector(2).add(((0,), ()), 0)
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (((0, 0), (5,)), "odd index out of range"),
+            (((0,), ()), "exponent vector length mismatch"),
+            (((0, -1), ()), "negative exponent"),
+        ],
+    )
+    def test_coefficient_checks_the_term(self, term, message):
+        p = mv("x1*xi1*xi2", 2)
+        with pytest.raises(MultivectorError, match=message):
+            p.coefficient(term)
 
     def test_term_bookkeeping(self):
         p = mv("x1*xi1*xi2 - x1*xi2*xi1", 2)
         assert p == 2 * mv("x1*xi1*xi2", 2)
-        assert p.coefficient((1, 0), (1, 0)) == -2
+        assert p.coefficient(((1, 0), (1, 0))) == -2
         assert p.xi_degrees() == {2}
         assert p.is_homogeneous()
 
@@ -119,14 +132,14 @@ def multivectors(
     """At most max_terms terms, exponents <= 2, xi-degree <= max_degree, small
     coefficients.
 
-    Odd factors are drawn unsorted, so add_term's normal ordering is exercised.
+    Odd factors are drawn unsorted, so add's normal ordering is exercised.
     """
     out = Multivector(d)
     for _ in range(draw(st.integers(0, max_terms))):
         k = draw(st.integers(0, min(max_degree, d))) if degree is None else degree
         xexp = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
         xis = draw(st.permutations(range(d)))[:k]
-        out.add_term(xexp, xis, draw(coefficients))
+        out.add((xexp, xis), draw(coefficients))
     return out
 
 

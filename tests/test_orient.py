@@ -217,13 +217,13 @@ class TestOrientationMorphism:
 class TestOrgraphSum:
     def test_accumulation_normalizes(self):
         s = OrgraphSum()
-        s.add_orgraph(new_orgraph([(3, 0), (1, 4), (2, 5), (2, 3)]), 2)
+        s.add(new_orgraph([(3, 0), (1, 4), (2, 5), (2, 3)]), 2)
         key = new_orgraph([(0, 3), (1, 4), (2, 5), (2, 3)])
         assert s.coefficient(key) == -2
 
     def test_zero_orgraphs_are_dropped(self):
         s = OrgraphSum()
-        s.add_orgraph(new_orgraph([(0, 1), (2, 4), (2, 5), (2, 2)]), 7)
+        s.add(new_orgraph([(0, 1), (2, 4), (2, 5), (2, 2)]), 7)
         assert not s
 
     def test_arithmetic_and_reduce(self):

@@ -1,11 +1,14 @@
-"""The package namespace re-exports every module's public names, and no
-module keeps an unused import or an unreferenced private helper."""
+"""The package namespace re-exports every module's public names, no module
+keeps an unused import or an unreferenced private helper, and the
+benchmark's tracer finds every function and cache it reads."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 import gckit
 
 MODULES = ["graphs", "complexes", "orient", "multivectors"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -32,12 +36,43 @@ def test_package_all_is_the_union_of_the_modules():
     assert gckit.__all__ == names
 
 
+def _load_tracer():
+    """The benchmark's trace mode, ``perfbench/tracer.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_is_a_function_of_its_module():
+    tracer = _load_tracer()
+    missing = [
+        name
+        for name, (module, attr, _, _) in tracer.TARGETS.items()
+        if not inspect.isfunction(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, f"the tracer wraps undefined {missing}"
+
+
+def test_the_tracer_reads_both_module_caches(tmp_path):
+    tracer = _load_tracer()
+    assert isinstance(tracer._normalize_before(), int)
+    path = tmp_path / "dump.json"
+    tracer.Tracer().dump(str(path))
+    counters = json.loads(path.read_text())["counters"]
+    assert sorted(counters) == [
+        "canonical_entries", "canonical_hits", "canonical_misses", "normalize_entries",
+    ]
+    assert all(isinstance(value, int) for value in counters.values())
+
+
 def test_orient_is_the_orientation_morphism():
     assert inspect.isfunction(gckit.orient)
     assert gckit.orient is importlib.import_module("gckit.orient").orient
 
 
-ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gckit").glob("*.py"))
 
 
