@@ -95,13 +95,14 @@ def _cmd_d(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _verdict(label: str, holds: bool) -> int:
+    """Print ``<label>: yes`` or ``no``; exit 0 when the check holds, else 1."""
+    print(f"{label}: {'yes' if holds else 'no'}")
+    return _EXIT_OK if holds else _EXIT_FALSE
+
+
 def _cmd_cocycle(args: argparse.Namespace) -> int:
-    total = _parse_graph_or_sum(_read_text(args.input))
-    if is_cocycle(total):
-        print("cocycle: yes")
-        return _EXIT_OK
-    print("cocycle: no")
-    return _EXIT_FALSE
+    return _verdict("cocycle", is_cocycle(_parse_graph_or_sum(_read_text(args.input))))
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
@@ -165,11 +166,7 @@ def _cmd_schouten(args: argparse.Namespace) -> int:
 def _cmd_verify_corollary(args: argparse.Namespace) -> int:
     gamma = _parse_graph_or_sum(_read_text(args.graph))
     p = parse_poisson(_read_text(args.poisson))
-    if verify_corollary(gamma, p):
-        print("corollary: yes")
-        return _EXIT_OK
-    print("corollary: no")
-    return _EXIT_FALSE
+    return _verdict("corollary", verify_corollary(gamma, p))
 
 
 def _cmd_fold(args: argparse.Namespace) -> int:

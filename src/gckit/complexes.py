@@ -309,12 +309,10 @@ def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
                 splits = [(1,) + rest for rest in product((1, 2), repeat=deg - 1)][1:]
                 coeff = 2 * c
             if deg >= 3:
-                # alone[i] is the split that leaves end i on its own side.
-                alone = [(1,) + (2,) * (deg - 1)]
-                alone += [(1,) * i + (2,) + (1,) * (deg - i - 1) for i in range(1, deg)]
+                # Drop the splits that leave alone an end whose neighbour has degree >= 3.
                 ends = [b if a == v else a for a, b in g.edges if v in (a, b)]
-                cancelled = {alone[i] for i, w in enumerate(ends) if degrees[w - 1] >= 3}
-                splits = [s for s in splits if s not in cancelled]
+                splits = [s for s in splits if not any(
+                    s.count(side) == 1 and degrees[w - 1] >= 3 for side, w in zip(s, ends))]
             for tail in _reattachments(g, v, 2, splits):
                 total.add(UnorientedGraph(n + 1, ((1, 2), *tail)), coeff)
     return total

@@ -99,7 +99,8 @@ class SignedCanonicalGraph:
     is_zero: bool
 
 
-# The largest vertex count accepted; ``d`` of a graph this large is still quick.
+# The largest vertex count accepted.  ``d`` of an edgeless graph this large is
+# quick, but not of a long path: ``canonicalize`` of one searches its labelings.
 _MAX_VERTICES = 10_000
 
 
@@ -292,8 +293,6 @@ def automorphisms(g: UnorientedGraph) -> list[tuple[tuple[int, ...], int]]:
 
 def is_connected(g: UnorientedGraph) -> bool:
     """True when every vertex is reachable from vertex 1."""
-    if g.vertex_count == 1:
-        return True
     adj: list[list[int]] = [[] for _ in range(g.vertex_count + 1)]
     for u, v in g.edges:
         adj[u].append(v)

@@ -88,6 +88,15 @@ class Multivector(_Sum):
     def _empty(self) -> "Multivector":
         return Multivector(self.dimension)
 
+    @classmethod
+    def of(cls, x) -> "Multivector":
+        """``x`` if it is a multivector, else the term ``(xexp, xis)`` with coefficient 1."""
+        if isinstance(x, Multivector):
+            return x
+        out = Multivector(len(x[0]))
+        out.add(x, 1)
+        return out
+
     def _normalize(self, key: TermKey) -> tuple[TermKey, int] | None:
         """Check one monomial and normal-order its odd factors."""
         xexp, xis = key
@@ -294,8 +303,6 @@ def or_evaluate_algebraic(
         raise MultivectorError("well-definedness precondition violated")
     labels = [next(j for j, b in enumerate(args) if a == b) for a in args]
     arrangements = list(_arrangements(labels))
-    if len(arrangements) == 1:
-        return _evaluate_ordered(graph, args, d)
     group = automorphisms(graph)
     total = Multivector(d)
     if any(sign < 0 for _, sign in group):
@@ -407,7 +414,7 @@ def _evaluate_single_orgraph(
             if product:
                 recurse(vertex + 1, product)
 
-    recurse(0, _constant(d, 1))
+    recurse(0, Multivector.of(((0,) * d, ())))
     return out * Fraction(1, math.factorial(s))
 
 
@@ -439,8 +446,6 @@ def _flow(
 ) -> Multivector:
     """The flow of ``gamma`` at ``p``, or its derivative along ``direction``."""
     total = Multivector(p.dimension)
-    if direction is not None and not direction:
-        return total
     for graph, coeff in gamma.items():
         n = graph.vertex_count
         if direction is None:
@@ -451,11 +456,18 @@ def _flow(
     return total
 
 
-def _check_flow_sum(gamma: GraphSum) -> None:
-    if not gamma:
+def _flow_sums(p: Multivector, *gammas: GraphSum | UnorientedGraph) -> list[GraphSum]:
+    """The sums to flow ``p`` by, once ``p`` is a bivector, none is empty and
+    each is vertex-homogeneous, checked in that order."""
+    if not is_bivector(p):
+        raise MultivectorError("bivector required")
+    sums = [GraphSum.of(gamma) for gamma in gammas]
+    if not all(sums):
         raise MultivectorError("empty graph sum")
-    if len({graph.vertex_count for graph, _ in gamma.items()}) != 1:
-        raise MultivectorError("graph sum must be vertex-homogeneous")
+    for gamma in sums:
+        if len({graph.vertex_count for graph, _ in gamma.items()}) != 1:
+            raise MultivectorError("graph sum must be vertex-homogeneous")
+    return sums
 
 
 def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
@@ -466,10 +478,7 @@ def verify_corollary(gamma: GraphSum | UnorientedGraph, p: Multivector) -> bool:
     bivector with the evaluated flow, minus the flow linearised along the
     bivector's self-bracket.
     """
-    if not is_bivector(p):
-        raise MultivectorError("bivector required")
-    gamma = GraphSum.of(gamma)
-    _check_flow_sum(gamma)
+    (gamma,) = _flow_sums(p, gamma)
     rhs = 2 * schouten(p, _flow(gamma, p))
     rhs._add_sum(_flow(gamma, p, schouten(p, p)), -1)
     return _flow(differential(gamma), p) == rhs
@@ -485,14 +494,7 @@ def flow_commutator_check(
     The commutator is the antisymmetrized linearisation: each flow is the
     direction along which the other is linearised.
     """
-    if not is_bivector(p):
-        raise MultivectorError("bivector required")
-    gamma1 = GraphSum.of(gamma1)
-    gamma2 = GraphSum.of(gamma2)
-    if not gamma1 or not gamma2:
-        raise MultivectorError("empty graph sum")
-    _check_flow_sum(gamma1)
-    _check_flow_sum(gamma2)
+    gamma1, gamma2 = _flow_sums(p, gamma1, gamma2)
     lhs = _flow(gamma2, p, _flow(gamma1, p)) - _flow(gamma1, p, _flow(gamma2, p))
     return lhs == _flow(bracket(gamma1, gamma2), p)
 
@@ -506,6 +508,9 @@ _MAX_EXPONENT = 100
 
 # The largest ``dim`` header accepted; every term stores a d-tuple.
 _MAX_DIMENSION = 10_000
+
+# The deepest parenthesis nesting accepted; the parser recurses per level.
+_MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<xi>xi\d+)|(?P<x>x\d+)"
@@ -563,6 +568,11 @@ class _ExpressionParser:
         return self.fail(f"{what} with more than {limit} digits", column)
 
     def parse(self) -> Multivector:
+        depth = 0
+        for _, text, column in self.tokens:
+            depth += (text == "(") - (text == ")")
+            if depth > _MAX_NESTING:
+                raise self.fail(f"parentheses nested deeper than {_MAX_NESTING}", column)
         value = self.expression()
         token = self.peek()
         if token is not None:
@@ -611,15 +621,19 @@ class _ExpressionParser:
             raise self.fail(
                 f"exponent above the maximum {_MAX_EXPONENT}", exponent_token[2]
             )
-        exponent = int(digits)
-        value = _constant(self.dimension, 1)
-        for _ in range(exponent):
+        value = Multivector.of(((0,) * self.dimension, ()))
+        for _ in range(int(digits)):
             value = multivector_product(value, base)
         return value
 
     def atom(self) -> Multivector:
-        token = self.take()
-        kind, text, column = token
+        # A run of minus signs is counted, not recursed into.
+        run = self.pos
+        while self.pos < len(self.tokens) and self.tokens[self.pos][1] == "-":
+            self.pos += 1
+        if (self.pos - run) % 2:
+            return -self.atom()
+        kind, text, column = self.take()
         if kind == "number":
             try:
                 value = _exact(Fraction(text))
@@ -627,7 +641,7 @@ class _ExpressionParser:
                 raise self.fail(f"zero denominator in {text!r}", column) from None
             except ValueError:
                 raise self.too_long("number", column) from None
-            return _constant(self.dimension, value)
+            return Multivector.of(((0,) * self.dimension, ())) * value
         if kind in ("x", "xi"):
             try:
                 index = int(text[len(kind):])
@@ -635,13 +649,9 @@ class _ExpressionParser:
                 raise self.too_long(f"{kind} index", column) from None
             if not 1 <= index <= self.dimension:
                 raise self.fail(f"{kind} index {index} out of range", column)
-            out = Multivector(self.dimension)
-            if kind == "x":
-                xexp = tuple(1 if k == index - 1 else 0 for k in range(self.dimension))
-                out.add((xexp, ()), 1)
-            else:
-                out.add(((0,) * self.dimension, (index - 1,)), 1)
-            return out
+            unit = tuple(int(k == index - 1) for k in range(self.dimension))
+            zero = (0,) * self.dimension
+            return Multivector.of((unit, ()) if kind == "x" else (zero, (index - 1,)))
         if kind == "op" and text == "(":
             value = self.expression()
             closing = self.peek()
@@ -651,15 +661,7 @@ class _ExpressionParser:
                 raise self.fail("missing closing parenthesis", column)
             self.take()
             return value
-        if kind == "op" and text == "-":
-            return -self.atom()
         raise self.fail(f"unexpected {text!r}", column)
-
-
-def _constant(dimension: int, value: int | Fraction) -> Multivector:
-    out = Multivector(dimension)
-    out.add(((0,) * dimension, ()), value)
-    return out
 
 
 def parse_multivector(

@@ -89,8 +89,7 @@ class Orgraph:
         return (self.sink_count, len(self.targets), self.targets)
 
     def __repr__(self) -> str:
-        pairs = ";".join(f"{a},{b}" for a, b in self.targets)
-        return f"Orgraph[{self.sink_count}]({pairs})"
+        return f"Orgraph[{self.sink_count}]{encode_compact(self)}"
 
 
 def new_orgraph(
@@ -309,6 +308,8 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
     vertices in every possible way, each distribution a separate witness.
     Their count, ``s! / prod(deficit!)`` per edge mask, is added up before
     they are built, and :class:`OrgraphError` is raised past ``_MAX_WITNESSES``.
+    Masks ascend, each read from its last edge: when edge ``i`` gives a vertex
+    its third arrow, every mask that agrees on bits ``e-1..i`` is skipped.
     """
     n, e = g.vertex_count, g.edge_count
     s = 2 * n - e
@@ -317,11 +318,14 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
     labels = tuple(range(s))
     witnesses: list[OrientationWitness] = []
     count = 0
-    for mask in range(1 << e):
+    mask = 0
+    while mask < 1 << e:
         outdeg = [0] * (n + 1)
-        for tail, _ in _directed(g.edges, mask):
+        for i in reversed(range(e)):
+            tail = g.edges[i][(mask >> i) & 1]
             outdeg[tail] += 1
             if outdeg[tail] > 2:
+                mask = ((mask >> i) + 1) << i
                 break
         else:
             deficits = [2 - outdeg[v] for v in range(1, n + 1)]
@@ -330,6 +334,7 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
                 raise OrgraphError(f"orientation witnesses above the maximum {_MAX_WITNESSES}")
             for assignment in _label_distributions(labels, deficits):
                 witnesses.append(OrientationWitness(g, s, mask, assignment))
+            mask += 1
     return witnesses
 
 
@@ -423,8 +428,6 @@ def rule1_sign(w: OrientationWitness) -> int:
     emitted alongside sink 1, the sign is -1 when A precedes B in the edge
     order and +1 otherwise.
     """
-    if w.sink_count != 2:
-        raise OrgraphError("rule 1 needs exactly 2 sinks")
     if w.shape() != "Pi":
         raise OrgraphError("rule 1 applies to Pi-shaped witnesses only")
     companions = {}

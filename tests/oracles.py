@@ -32,6 +32,9 @@ sink lists and the target witness once per kind of move, and the
 ``fold_sink_swap`` that compared each Pi pair's sort keys and could add the
 partner in place of the term, both kept unchanged from ``gckit.orient``
 apart from the name under which the fold imports ``normalize_orgraph``.
+The witness enumeration is the loop that tested every edge mask from the
+first edge on, kept unchanged from ``gckit.orient`` apart from importing
+``factorial`` and ``prod`` through ``math``.
 
 The tests compare the fast code with these on random inputs.
 """
@@ -55,7 +58,6 @@ from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
     MultivectorError,
-    _constant,
     _edge_operator,
     _evaluate_ordered,
     _is_odd_argument,
@@ -64,11 +66,15 @@ from gckit.multivectors import (
     xi_derivative,
 )
 from gckit.orient import (
+    _MAX_WITNESSES,
     NormalizedOrgraph,
     Orgraph,
+    OrgraphError,
     OrgraphSum,
     OrientationWitness,
     SkewSymmetryError,
+    _directed,
+    _label_distributions,
     normalize_orgraph as fast_normalize_orgraph,
     shape,
     sink_swap,
@@ -401,7 +407,7 @@ def evaluate_single_orgraph(
     n = g.internal_count
     pairs = list(components)
     out = Multivector(d)
-    one = _constant(d, Fraction(1))
+    one = Multivector.of(((0,) * d, ()))
 
     def recurse(vertex: int, chosen: list[tuple[int, int]]) -> None:
         if vertex == n:
@@ -508,7 +514,7 @@ def evaluate_ordered(
 ) -> Multivector:
     """Edge-operator product with placed_args[i] sitting at vertex i+1."""
     n = graph.vertex_count
-    big = _constant(n * d, 1)
+    big = Multivector.of(((0,) * (n * d), ()))
     for vertex, mv in enumerate(placed_args):
         big = multivector_product(big, _placed(mv, vertex, n))
     for u, v in graph.edges:
@@ -631,3 +637,35 @@ def fold_sink_swap(s: OrgraphSum) -> OrgraphSum:
         else:
             out._add(partner, q2)
     return out
+
+
+def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
+    """All orientation witnesses of ``g``.
+
+    Every vertex must emit exactly two items, so the number of sinks is
+    forced to ``2n - e``.  Sink labels are distributed over the deficient
+    vertices in every possible way, each distribution a separate witness.
+    Their count, ``s! / prod(deficit!)`` per edge mask, is added up before
+    they are built, and :class:`OrgraphError` is raised past ``_MAX_WITNESSES``.
+    """
+    n, e = g.vertex_count, g.edge_count
+    s = 2 * n - e
+    if s < 0:
+        return []
+    labels = tuple(range(s))
+    witnesses: list[OrientationWitness] = []
+    count = 0
+    for mask in range(1 << e):
+        outdeg = [0] * (n + 1)
+        for tail, _ in _directed(g.edges, mask):
+            outdeg[tail] += 1
+            if outdeg[tail] > 2:
+                break
+        else:
+            deficits = [2 - outdeg[v] for v in range(1, n + 1)]
+            count += math.factorial(s) // math.prod(map(math.factorial, deficits))
+            if count > _MAX_WITNESSES:
+                raise OrgraphError(f"orientation witnesses above the maximum {_MAX_WITNESSES}")
+            for assignment in _label_distributions(labels, deficits):
+                witnesses.append(OrientationWitness(g, s, mask, assignment))
+    return witnesses

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from gckit import parse_graph_sum, parse_orgraph_sum
+from gckit import parse_graph, parse_graph_sum, parse_orgraph_sum
 from gckit.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -612,3 +612,62 @@ class TestFold:
             "error: skew-symmetry violated: self-paired term Orgraph[2](0,3;1,2)"
             " with even swap sign\n"
         )
+
+
+# ``rules-check`` of ``data/wheel5.g`` with the sign of its first Pi witness
+# flipped: every check line reads MISMATCH.
+MISMATCH_GOLDEN = ROOT / "tests" / "golden" / "rules-check-mismatch" / "wheel5.out"
+
+
+class TestOnePathPerRule:
+    def test_rules_check_failure_report(self, cli, data_dir):
+        orient_module = importlib.import_module("gckit.orient")
+        witnesses = orient_module.enumerate_orientations(
+            parse_graph((data_dir / "wheel5.g").read_text())
+        )
+        flipped = min(
+            (w for w in witnesses if w.shape() == "Pi"),
+            key=orient_module.OrientationWitness.sort_key,
+        )
+        sign = orient_module.orientation_sign
+        with mock.patch.object(
+            orient_module,
+            "orientation_sign",
+            lambda w: -sign(w) if w == flipped else sign(w),
+        ):
+            code, out, _ = cli("rules-check", str(data_dir / "wheel5.g"))
+        assert code == 1
+        assert out.encode("utf-8") == MISMATCH_GOLDEN.read_bytes()
+        lines = out.splitlines()
+        assert [line for line in lines if line.endswith(": MISMATCH")] == [
+            "class consistency: MISMATCH",
+            "sink-order exchange flips parity: MISMATCH",
+            "sink-swap class pairing: MISMATCH",
+            "elementary move signs (1460 moves): MISMATCH",
+        ]
+        assert lines[-1] == "result: INCONSISTENT"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("o x : 0 1", "vertex/sink counts must be integers"),
+            ("o 1 -1 : 0 1", "sink count must be nonnegative, got -1"),
+            ("o 0 :", "orgraph needs at least one internal vertex"),
+        ],
+    )
+    def test_orgraph_text_errors(self, cli, tmp_path, text, message):
+        path = tmp_path / "bad.o"
+        path.write_text(f"# orgraph\n{text}\n")
+        code, out, err = cli("normalize", str(path))
+        assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+
+    @pytest.mark.parametrize(
+        "prefix, column", [("", 101), ("-" * 2000, 2101)], ids=["parentheses", "minus-signs"]
+    )
+    def test_deep_expressions_are_input_errors(self, cli, tmp_path, prefix, column):
+        path = tmp_path / "deep.poisson"
+        path.write_text("dim 3\n" + prefix + "(" * 400 + "x1*xi1*xi2" + ")" * 400 + "\n")
+        code, out, err = cli("schouten", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: parentheses nested deeper than 100 at column {column}\n"
+

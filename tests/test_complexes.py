@@ -238,3 +238,10 @@ class TestSumTextFormat:
     def test_bad_term(self, body, message):
         with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
             parse_graph_sum(f"# sum\n2 * {body}\n")
+
+
+def test_coefficient_of_a_zero_graph_is_zero(tetra, path3):
+    total = GraphSum.of(tetra) + GraphSum.of(path3)
+    assert total == GraphSum.of(tetra)
+    assert total.coefficient(path3) == 0
+    assert total.coefficient(tetra) == 1

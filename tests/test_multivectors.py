@@ -566,3 +566,55 @@ class TestMultivectorTextFormat:
         assert cubic3 == mv(
             "x1^2*x2*xi1*xi2 + x2^2*x3*xi2*xi3 + x3^2*x1*xi3*xi1", 3
         )
+
+
+# ---------------------------------------------------------------------------
+# One path per rule
+
+
+class TestOnePathPerRule:
+    def test_of_builds_a_one_term_multivector(self):
+        assert Multivector.of(((0, 0), ())) == mv("1", 2)
+        assert Multivector.of(((0, 2, 1), (2, 0))) == mv("-x2^2*x3*xi1*xi3", 3)
+        p = mv("x1*xi1*xi2", 2)
+        assert Multivector.of(p) is p
+
+    def test_of_checks_the_term(self):
+        with pytest.raises(MultivectorError, match="odd index out of range"):
+            Multivector.of(((0,), (1,)))
+        with pytest.raises(MultivectorError, match="negative exponent"):
+            Multivector.of(((-1, 0), ()))
+        with pytest.raises(MultivectorError, match="dimension must be positive"):
+            Multivector.of(((), ()))
+        assert not Multivector.of(((0, 0), (1, 1)))
+
+    def test_library_errors_the_cli_never_reaches(self):
+        with pytest.raises(MultivectorError, match="dimension must be positive"):
+            Multivector(0)
+        f, g = mv("x1*xi1", 2), mv("x1*xi1", 3)
+        with pytest.raises(MultivectorError, match="dimension mismatch"):
+            multivector_product(f, g)
+        with pytest.raises(MultivectorError, match="dimension mismatch"):
+            schouten(f, g)
+
+    def test_equal_arguments_on_a_zero_graph_are_not_evaluated(self, path3, cubic3):
+        # path3 has an odd automorphism, so even one arrangement is not evaluated.
+        with mock.patch.object(
+            multivector_module,
+            "_evaluate_ordered",
+            wraps=multivector_module._evaluate_ordered,
+        ) as evaluate:
+            assert not or_evaluate_algebraic(path3, [cubic3] * 3)
+        assert evaluate.call_count == 0
+
+    def test_long_minus_runs_and_nesting_at_the_bound_parse(self):
+        deep = "(" * 100 + "x1*xi2" + ")" * 100
+        assert mv("-" * 2001 + deep, 2) == -mv("x1*xi2", 2)
+        assert mv("-" * 2000 + deep, 2) == mv("x1*xi2", 2)
+        assert mv("-(" * 100 + "x1" + ")" * 100, 2) == mv("x1", 2)
+
+    def test_nesting_past_the_bound_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^parentheses nested deeper than 100 at column 101$"):
+            mv("(" * 400 + "x1" + ")" * 400, 2)
+        with pytest.raises(ParseError, match="^line 2: parentheses nested deeper than 100"):
+            parse_poisson("dim 2\n" + "-(" * 101 + "x1" + ")" * 101)

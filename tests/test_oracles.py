@@ -460,3 +460,27 @@ def test_perturbed_fold_matches_oracle(data, source, change):
     for i, (key, q) in enumerate(terms):
         s.add(key, q * factor if i == k else q)
     assert _folded(fold_sink_swap, s) == _folded(oracles.fold_sink_swap, s)
+
+
+# ---------------------------------------------------------------------------
+# Witness enumeration
+
+
+@st.composite
+def few_sink_graphs(draw, max_vertices=6, max_sinks=4):
+    """Graphs with at most ``max_sinks`` sinks to fill, edges in random order
+    and direction, so mask prefixes die at every edge position."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    pairs = draw(st.permutations(list(itertools.combinations(range(1, n + 1), 2))))
+    low = min(len(pairs), max(0, 2 * n - max_sinks))
+    e = draw(st.integers(min_value=low, max_value=len(pairs)))
+    flips = draw(st.lists(st.booleans(), min_size=e, max_size=e))
+    return new_graph(n, [(v, u) if f else (u, v) for (u, v), f in zip(pairs[:e], flips)])
+
+
+@given(g=few_sink_graphs())
+@settings(max_examples=200, deadline=None)
+def test_enumerate_orientations_matches_oracle(g):
+    """The scan that skips dead mask prefixes finds the mask loop's
+    witnesses, in the same order."""
+    assert enumerate_orientations(g) == oracles.enumerate_orientations(g)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -488,3 +489,27 @@ class TestOrgraphTextFormat:
             with pytest.raises(ParseError, match=f"^line 2: {message}$"):
                 parse_orgraph_sum(f"\n1 * {body}")
         assert parse_orgraph("o 2 : 0 1 ;; 0 2 ;") == parse_orgraph("o 2 : 0 1 ; 0 2")
+
+
+class TestOnePathPerRule:
+    def test_dead_mask_prefixes_are_skipped(self):
+        # C12(1,2) without edges {12,1} and {12,2}: 22 edges, 2 sinks, and
+        # 2^22 masks, most of which die within their last few edges.
+        ring = [(i, i + 1) for i in range(1, 12)]
+        chords = [(i, (i + 1) % 12 + 1) for i in range(1, 12)]
+        g = new_graph(12, ring + chords)
+        start = time.perf_counter()
+        witnesses = enumerate_orientations(g)
+        assert time.perf_counter() - start < 3.0
+        assert len(witnesses) == 10_808
+        masks = [w.mask for w in witnesses]
+        assert masks == sorted(masks)
+
+    def test_sink_swap_needs_two_sinks(self):
+        with pytest.raises(OrgraphError, match="^sink swap needs exactly 2 sinks$"):
+            sink_swap(new_orgraph([(0, 1), (2, 3)], sink_count=3))
+
+    def test_rule1_reports_the_shape_check(self, edge):
+        w = enumerate_orientations(edge)[0]
+        with pytest.raises(OrgraphError, match="^shape needs exactly 2 sinks$"):
+            rule1_sign(w)

@@ -10,7 +10,9 @@ import importlib.util
 import inspect
 import json
 import re
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -129,3 +131,22 @@ def test_readme_names_only_defined_private_names():
         if not any(hasattr(modules[key], name) for key in modules if owner in ("", key))
     ]
     assert not missing, f"README names undefined {missing}"
+
+
+def test_the_benchmark_inputs_are_rederived_byte_for_byte(monkeypatch):
+    """``perfbench/make_goldens.py`` picks the heptagon-wheel orgraphs by
+    their position in ``enumerate_orientations``, so the witness order and
+    every other derivation must reproduce the checked-in inputs."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    with mock.patch.dict(sys.modules):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_make_goldens", ROOT / "perfbench" / "make_goldens.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        derived = module.derive(ROOT)
+    assert sorted(derived) == sorted(
+        ["gamma5.gs", "or_gamma5.os", "or_tetra.os", "wheel7.g", *module.HEPTAGON_ORGRAPHS]
+    )
+    for name, data in derived.items():
+        assert data == (ROOT / "perfbench" / "inputs" / name).read_bytes(), name
