@@ -255,9 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: ``main`` may run many commands in one interpreter.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except SkewSymmetryError as exc:

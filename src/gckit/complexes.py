@@ -15,6 +15,7 @@ fixed (vertices, edges) bidegree is computed exactly over the rationals.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -412,6 +413,12 @@ def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
     return kernel
 
 
+# The one rational literal of every file format, as the writers print it:
+# digits with an optional ``/`` denominator, after an optional sign in a sum.
+_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
+_COEFFICIENT = re.compile(rf"[-+]?{_UNSIGNED_RATIONAL}")
+
+
 def _sum_lines(text: str, letter: str) -> Iterator[tuple[int, Fraction, str]]:
     """``(line number, coefficient, body)`` of each ``<coefficient> * <body>``
     line of a sum file, where ``letter`` starts the body (``g`` or ``o``)."""
@@ -419,10 +426,13 @@ def _sum_lines(text: str, letter: str) -> Iterator[tuple[int, Fraction, str]]:
         coeff_text, star, rest = line.partition("*")
         if not star:
             raise ParseError(f"expected '<coefficient> * {letter} ...'", lineno)
+        coeff_text = coeff_text.strip()
         try:
-            coeff = Fraction(coeff_text.strip())
+            if not _COEFFICIENT.fullmatch(coeff_text):
+                raise ValueError
+            coeff = Fraction(coeff_text)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad coefficient {coeff_text.strip()!r}", lineno) from None
+            raise ParseError(f"bad coefficient {coeff_text!r}", lineno) from None
         yield lineno, coeff, rest
 
 

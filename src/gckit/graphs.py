@@ -100,8 +100,12 @@ class SignedCanonicalGraph:
 
 
 # The largest vertex count accepted.  ``d`` of an edgeless graph this large is
-# quick, but not of a long path: ``canonicalize`` of one searches its labelings.
+# quick: isolated vertices are not searched.
 _MAX_VERTICES = 10_000
+
+# The most vertices the labeling search takes; it recurses once per vertex,
+# and ``canonicalize`` of a 200-vertex path takes about 2 s.
+_MAX_SEARCH_VERTICES = 200
 
 
 def new_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> UnorientedGraph:
@@ -161,8 +165,11 @@ def _minimal_labelings(
 
     ``labeling[v]`` is the label of ``v``.  ``row(v, labeling)`` reads only
     the labels of ``v`` and its ``neighbours``, and must not fall when a
-    neighbour labeled after ``v`` takes a larger label.
+    neighbour labeled after ``v`` takes a larger label.  Past
+    ``_MAX_SEARCH_VERTICES`` keys it raises :class:`GraphError` at once.
     """
+    if len(neighbours) > _MAX_SEARCH_VERTICES:
+        raise GraphError(f"labeling search above the maximum {_MAX_SEARCH_VERTICES} vertices")
     label = dict.fromkeys(neighbours, 0)
     best: list[tuple] = []
     found: list[dict[int, int]] = []

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .complexes import EDGE_GRAPH, GraphSum, _Sum, _exact
+from .complexes import _UNSIGNED_RATIONAL, EDGE_GRAPH, GraphSum, _Sum, _exact
 from .complexes import bracket, differential
 from .graphs import ParseError, UnorientedGraph, automorphisms, inversion_count
 from .graphs import significant_lines
@@ -512,8 +512,13 @@ _MAX_DIMENSION = 10_000
 # The deepest parenthesis nesting accepted; the parser recurses per level.
 _MAX_NESTING = 100
 
+# The most term pairs one product may multiply out, about 0.1 s of work.
+# ``(x1+x2+x3)^100`` needs at most 15,150 per step; the sum of five
+# variables passes the bound at ``^18``, refused after 0.3 s of work.
+_MAX_PRODUCT_PAIRS = 25_000
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<xi>xi\d+)|(?P<x>x\d+)"
+    rf"\s*(?:(?P<number>{_UNSIGNED_RATIONAL})|(?P<xi>xi\d+)|(?P<x>x\d+)"
     r"|(?P<op>[-+*^()]))"
 )
 
@@ -579,40 +584,46 @@ class _ExpressionParser:
             raise self.fail(f"unexpected {token[1]!r}", token[2])
         return value
 
-    def expression(self) -> Multivector:
+    def accept(self, ops: str) -> tuple[str, str, int] | None:
+        """Take the next token when it is one of the operators ``ops``."""
         token = self.peek()
-        negate = False
-        if token is not None and token[0] == "op" and token[1] in "+-":
-            self.take()
-            negate = token[1] == "-"
+        if token is None or token[0] != "op" or token[1] not in ops:
+            return None
+        self.pos += 1
+        return token
+
+    def product(self, a: Multivector, b: Multivector, column: int) -> Multivector:
+        if len(a) * len(b) > _MAX_PRODUCT_PAIRS:
+            raise self.fail(f"product above the maximum {_MAX_PRODUCT_PAIRS} term pairs", column)
+        return multivector_product(a, b)
+
+    def expression(self) -> Multivector:
+        self.accept("+")
         value = self.term()
-        if negate:
-            value = -value
-        while True:
-            token = self.peek()
-            if token is None or token[0] != "op" or token[1] not in "+-":
-                break
-            self.take()
+        while token := self.accept("+-"):
             right = self.term()
             value = value - right if token[1] == "-" else value + right
         return value
 
     def term(self) -> Multivector:
-        value = self.power()
-        while True:
-            token = self.peek()
-            if token is None or token[0] != "op" or token[1] != "*":
-                break
-            self.take()
-            value = multivector_product(value, self.power())
+        value = self.signed()
+        while token := self.accept("*"):
+            value = self.product(value, self.signed(), token[2])
         return value
+
+    def signed(self) -> Multivector:
+        # A run of minus signs, counted and not recursed into, binds below ``^``.
+        run = 0
+        while self.accept("-"):
+            run += 1
+        value = self.power()
+        return -value if run % 2 else value
 
     def power(self) -> Multivector:
         base = self.atom()
-        token = self.peek()
-        if token is None or token[0] != "op" or token[1] != "^":
+        caret = self.accept("^")
+        if caret is None:
             return base
-        self.take()
         exponent_token = self.take()
         if exponent_token[0] != "number" or "/" in exponent_token[1]:
             raise self.fail("integer exponent expected", exponent_token[2])
@@ -623,16 +634,10 @@ class _ExpressionParser:
             )
         value = Multivector.of(((0,) * self.dimension, ()))
         for _ in range(int(digits)):
-            value = multivector_product(value, base)
+            value = self.product(value, base, caret[2])
         return value
 
     def atom(self) -> Multivector:
-        # A run of minus signs is counted, not recursed into.
-        run = self.pos
-        while self.pos < len(self.tokens) and self.tokens[self.pos][1] == "-":
-            self.pos += 1
-        if (self.pos - run) % 2:
-            return -self.atom()
         kind, text, column = self.take()
         if kind == "number":
             try:
@@ -654,13 +659,11 @@ class _ExpressionParser:
             return Multivector.of((unit, ()) if kind == "x" else (zero, (index - 1,)))
         if kind == "op" and text == "(":
             value = self.expression()
-            closing = self.peek()
-            if closing is None or closing[1] != ")":
-                last = self.tokens[-1]
-                column = last[2] + len(last[1]) if closing is None else closing[2]
-                raise self.fail("missing closing parenthesis", column)
-            self.take()
-            return value
+            if self.accept(")"):
+                return value
+            closing, last = self.peek(), self.tokens[-1]
+            column = last[2] + len(last[1]) if closing is None else closing[2]
+            raise self.fail("missing closing parenthesis", column)
         raise self.fail(f"unexpected {text!r}", column)
 
 

@@ -310,6 +310,8 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
     they are built, and :class:`OrgraphError` is raised past ``_MAX_WITNESSES``.
     Masks ascend, each read from its last edge: when edge ``i`` gives a vertex
     its third arrow, every mask that agrees on bits ``e-1..i`` is skipped.
+    Within a mask the distributions come in ``combinations`` order, so the
+    witnesses are in :meth:`OrientationWitness.sort_key` order.
     """
     n, e = g.vertex_count, g.edge_count
     s = 2 * n - e
@@ -628,7 +630,7 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
         lines.append(f"{label}: " + ("MISMATCH" if found else "ok"))
         mismatches.extend(found)
 
-    witnesses = sorted(enumerate_orientations(g), key=OrientationWitness.sort_key)
+    witnesses = enumerate_orientations(g)
     eps_of = {w: orientation_sign(w) for w in witnesses}
     class_of: dict[OrientationWitness, Orgraph] = {}
     contribution: dict[OrientationWitness, int] = {}

@@ -5,14 +5,18 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from gckit import parse_graph, parse_graph_sum, parse_orgraph_sum
+import gckit.cli as cli_module
 from gckit.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,6 +216,11 @@ class TestBasics:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot read /nonexistent/x.g")
+
+    def test_commands_share_one_parser(self, cli, tetra_file):
+        with mock.patch.object(cli_module, "_build_parser", side_effect=AssertionError):
+            assert cli("cocycle", tetra_file) == (0, "cocycle: yes\n", "")
+            assert cli("frobnicate")[0] == 2
 
 
 class TestDifferentialAndCocycle:
@@ -671,3 +680,62 @@ class TestOnePathPerRule:
         assert (code, out) == (2, "")
         assert err == f"error: line 2: parentheses nested deeper than 100 at column {column}\n"
 
+
+
+class TestOneRulePerSyntax:
+    # ``1e100000000`` runs in a fresh process below, since it once took minutes.
+    @pytest.mark.parametrize("coeff", ["0.5", "1e3", "1_000", "1/0", "--1"])
+    @pytest.mark.parametrize(
+        "verb, body", [("d", "g 2 1 : 1 2"), ("fold", "o 2 : 0 3 ; 0 1")], ids=["graph", "orgraph"]
+    )
+    def test_a_coefficient_is_one_rational_literal(self, cli, tmp_path, verb, body, coeff):
+        path = tmp_path / "sum.txt"
+        path.write_text(f"# sum\n{coeff} * {body}\n")
+        code, out, err = cli(verb, str(path))
+        assert (code, out, err) == (2, "", f"error: line 2: bad coefficient '{coeff}'\n")
+
+    def test_signed_fractions_and_integers_parse(self):
+        total = parse_graph_sum("-1/3 * g 4 6 : 1 2, 1 3, 1 4, 2 3, 2 4, 3 4\n+2 * g 2 1 : 1 2")
+        assert sorted(c for _, c in total.items()) == [Fraction(-1, 3), 2]
+        total = parse_orgraph_sum(" -1/3 * o 2 : 0 3 ; 0 1\n+2 * o 1 : 0 1")
+        assert sorted(c for _, c in total.items()) == [Fraction(-1, 3), 2]
+
+
+def _chain_orgraph(n: int) -> str:
+    return f"o {n} : " + " ; ".join([f"0 {k + 3}" for k in range(n - 1)] + ["0 1"]) + "\n"
+
+
+class TestInputsFailFast:
+    """Inputs that once hung or crashed exit 2 at once in a fresh process."""
+
+    @pytest.mark.parametrize(
+        "verb, text, error",
+        [
+            (
+                "d",
+                "g 1000 999\n" + "".join(f"{k} {k + 1}\n" for k in range(1, 1000)),
+                "labeling search above the maximum 200 vertices",
+            ),
+            ("normalize", _chain_orgraph(1200), "labeling search above the maximum 200 vertices"),
+            ("d", "1e100000000 * g 2 1 : 1 2\n", "line 1: bad coefficient '1e100000000'"),
+            (
+                "schouten",
+                "dim 5\n(x1+x2+x3+x4+x5)^100*xi1*xi2\n",
+                "line 2: product above the maximum 25000 term pairs at column 17",
+            ),
+        ],
+        ids=["long-path", "long-chain", "huge-coefficient", "five-variable-power"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, verb, text, error):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        files = [str(path)] * (2 if verb == "schouten" else 1)
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, "-m", "gckit.cli", verb, *files],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+            timeout=5,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {error}\n")

@@ -207,6 +207,17 @@ class TestAutomorphisms:
             assert sign in (1, -1)
 
 
+class TestSearchBound:
+    def test_searches_past_the_bound_fail_at_once(self):
+        path = new_graph(201, [(k, k + 1) for k in range(1, 201)])
+        for search in (canonicalize, automorphisms):
+            with pytest.raises(GraphError, match="^labeling search above the maximum 200 vertices$"):
+                search(path)
+
+    def test_isolated_vertices_are_not_searched(self):
+        assert canonicalize(new_graph(10_000, [(9_999, 10_000)])).canonical.edges == ((1, 2),)
+
+
 class TestConnectivity:
     def test_connected(self, path3, tetra):
         assert is_connected(path3)

@@ -542,6 +542,51 @@ class TestMultivectorTextFormat:
         assert mv("(x1 + x2)*xi1", 2) == mv("x1*xi1 + x2*xi1", 2)
         assert mv("x1*-x2", 2) == -mv("x1*x2", 2)
 
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            ("-x1^2", "-x1^2"),
+            ("-(x1)^2", "-x1^2"),
+            ("+-x1", "-x1"),
+            ("-x1*-x2", "x1*x2"),
+            ("x2 + -x1^2", "x2 - x1^2"),
+            ("x2 - -x1^2", "x2 + x1^2"),
+            ("2*-x1^2", "-2*x1^2"),
+            ("--x1^2", "x1^2"),
+            ("3*-2^2", "-12"),
+        ],
+    )
+    def test_minus_binds_below_power_and_above_product(self, text, rendered):
+        assert format_multivector(mv(text, 2)) == rendered
+
+    @pytest.mark.parametrize(
+        "text, column", [("-+x1", 2), ("++x1", 2), ("x1*+x2", 4), ("x1^-2", 4)]
+    )
+    def test_a_sign_is_not_a_factor(self, text, column):
+        with pytest.raises(ParseError, match=f" at column {column}$"):
+            mv(text, 2)
+
+    @given(p=multivectors(3, max_terms=6))
+    @settings(max_examples=50, deadline=None)
+    def test_rendered_text_reads_back(self, p):
+        assert mv(format_multivector(p), 3) == p
+        assert parse_poisson(format_poisson(p)) == p
+
+    def test_products_past_the_bound_are_parse_errors(self):
+        with pytest.raises(
+            ParseError, match="^product above the maximum 25000 term pairs at column 17$"
+        ):
+            mv("(x1+x2+x3+x4+x5)^18", 5)
+
+        def powers(x: str, count: int) -> str:
+            return "(" + "+".join(f"{x}^{k}" for k in range(count)) + ")"
+
+        left = powers("x1", 25) + "*" + powers("x2", 10)
+        assert len(mv(f"{left}*{powers('x3', 100)}", 3)) == 25_000
+        text = f"{left}*({powers('x3', 100)}+x3^100)"
+        with pytest.raises(ParseError, match=f"term pairs at column {len(left) + 1}$"):
+            mv(text, 3)
+
     def test_file_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="empty input"):
             parse_poisson("")

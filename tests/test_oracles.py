@@ -59,6 +59,7 @@ from gckit import (
 )
 from gckit.orient import (
     OrgraphSum,
+    OrientationWitness,
     SkewSymmetryError,
     elementary_moves,
     enumerate_orientations,
@@ -482,5 +483,7 @@ def few_sink_graphs(draw, max_vertices=6, max_sinks=4):
 @settings(max_examples=200, deadline=None)
 def test_enumerate_orientations_matches_oracle(g):
     """The scan that skips dead mask prefixes finds the mask loop's
-    witnesses, in the same order."""
-    assert enumerate_orientations(g) == oracles.enumerate_orientations(g)
+    witnesses, in the same order, which is ``sort_key`` order."""
+    witnesses = enumerate_orientations(g)
+    assert witnesses == oracles.enumerate_orientations(g)
+    assert witnesses == sorted(witnesses, key=OrientationWitness.sort_key)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from gckit import (
+    GraphError,
     GraphSum,
     OrgraphError,
     OrgraphSum,
@@ -135,6 +136,11 @@ class TestNormalize:
     def test_repeated_target_is_zero(self):
         norm = normalize_orgraph(new_orgraph([(0, 1), (2, 4), (2, 5), (2, 2)]))
         assert norm.is_zero
+
+    def test_long_chains_fail_at_once(self):
+        chain = new_orgraph([(0, k + 3) for k in range(200)] + [(0, 1)])
+        with pytest.raises(GraphError, match="^labeling search above the maximum 200 vertices$"):
+            normalize_orgraph(chain)
 
     def test_normalization_is_idempotent(self, tetra):
         for w in enumerate_orientations(tetra):
