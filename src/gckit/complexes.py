@@ -26,6 +26,7 @@ from .graphs import (
     GraphError,
     ParseError,
     UnorientedGraph,
+    _integer,
     canonicalize,
     is_connected,
     new_graph,
@@ -415,7 +416,7 @@ def cocycle_kernel(vertex_count: int, edge_count: int) -> list[GraphSum]:
 
 # The one rational literal of every file format, as the writers print it:
 # digits with an optional ``/`` denominator, after an optional sign in a sum.
-_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
+_UNSIGNED_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
 _COEFFICIENT = re.compile(rf"[-+]?{_UNSIGNED_RATIONAL}")
 
 
@@ -441,13 +442,13 @@ def _int_pairs(text: str, sep: str, what: str, lineno: int | None) -> list[Edge]
     pairs = []
     for chunk in text.split(sep):
         chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            a, b = chunk.split()
-            pairs.append((int(a), int(b)))
-        except ValueError:
-            raise ParseError(f"bad {what} {chunk!r}", lineno) from None
+        fields = chunk.split()
+        if len(fields) == 2:
+            u, v = fields
+            pairs.append((_integer(u, lineno, "bad {} {!r}", what, chunk),
+                          _integer(v, lineno, "bad {} {!r}", what, chunk)))
+        elif chunk:
+            raise ParseError(f"bad {what} {chunk!r}", lineno)
     return pairs
 
 
@@ -464,10 +465,7 @@ def parse_graph_sum(text: str) -> GraphSum:
         fields = head.split()
         if len(fields) != 3 or fields[0] != "g" or not colon:
             raise ParseError("expected 'g <vertices> <edges> : ...'", lineno)
-        try:
-            n, m = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ParseError("vertex/edge counts must be integers", lineno) from None
+        n, m = (_integer(f, lineno, "vertex/edge counts must be integers") for f in fields[1:])
         edges = _int_pairs(edge_part, ",", "edge", lineno)
         if len(edges) != m:
             raise ParseError(f"expected {m} edges, found {len(edges)}", lineno)

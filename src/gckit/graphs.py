@@ -59,6 +59,18 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _integer(text: str, lineno: int | None, message: str, *args: object) -> int:
+    """An integer field as the writers print it: ASCII digits after an
+    optional sign.  Other text raises ``ParseError(message.format(*args))``,
+    so the message is built only on failure."""
+    if text.isascii() and (text.isdigit() or text[1:].isdigit() and text[0] in "+-"):
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python converts
+            pass
+    raise ParseError(message.format(*args), lineno)
+
+
 @dataclass(frozen=True)
 class UnorientedGraph:
     """A simple graph on vertices ``1..vertex_count`` with an ordered edge list.
@@ -335,10 +347,7 @@ def parse_graph(text: str) -> UnorientedGraph:
     parts = head.split()
     if len(parts) != 3 or parts[0] != "g":
         raise ParseError("expected header 'g <vertices> <edges>'", lineno)
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("vertex/edge counts must be integers", lineno) from None
+    n, m = (_integer(part, lineno, "vertex/edge counts must be integers") for part in parts[1:])
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", lineno)
     edges = []
@@ -346,10 +355,7 @@ def parse_graph(text: str) -> UnorientedGraph:
         fields = line.split()
         if len(fields) != 2:
             raise ParseError("expected an edge line 'u v'", lineno)
-        try:
-            edges.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", lineno) from None
+        edges.append(tuple(_integer(f, lineno, "edge endpoints must be integers") for f in fields))
     try:
         return new_graph(n, edges)
     except GraphError as exc:

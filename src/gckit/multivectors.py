@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .complexes import _UNSIGNED_RATIONAL, EDGE_GRAPH, GraphSum, _Sum, _exact
 from .complexes import bracket, differential
-from .graphs import ParseError, UnorientedGraph, automorphisms, inversion_count
+from .graphs import ParseError, UnorientedGraph, automorphisms, canonicalize, inversion_count
 from .graphs import significant_lines
 from .orient import Orgraph, OrgraphSum, _arrows_into
 
@@ -288,10 +288,11 @@ def or_evaluate_algebraic(
     to another and reorders the edges by a permutation σ_E.  Moving even
     arguments, or one odd one past even ones, costs no sign, and the edge
     operators are odd, so they anticommute: the two values differ by
-    ``sign(σ_E)``.  If some σ_E is odd, the placements cancel in pairs and
-    the average is zero.  Otherwise the value is constant on each orbit of
-    the automorphism group, and one arrangement per orbit is evaluated,
-    weighted by the orbit's size.
+    ``sign(σ_E)``.  If some σ_E is odd, the graph is a zero graph, the
+    placements cancel in pairs and the average is zero.  Otherwise the value
+    is constant on each orbit of the automorphism group, and one arrangement
+    per orbit is evaluated, weighted by the orbit's size; a single
+    arrangement is its own orbit, and the group is not searched.
     """
     n = graph.vertex_count
     if len(args) != n:
@@ -303,15 +304,15 @@ def or_evaluate_algebraic(
         raise MultivectorError("well-definedness precondition violated")
     labels = [next(j for j, b in enumerate(args) if a == b) for a in args]
     arrangements = list(_arrangements(labels))
-    group = automorphisms(graph)
     total = Multivector(d)
-    if any(sign < 0 for _, sign in group):
+    if canonicalize(graph).is_zero:
         return total
+    group = automorphisms(graph) if len(arrangements) > 1 else []
     seen: set[tuple[int, ...]] = set()
     for arrangement in arrangements:
         if arrangement in seen:
             continue
-        orbit = {tuple(arrangement[v - 1] for v in images) for images, _ in group}
+        orbit = {arrangement, *(tuple(arrangement[v - 1] for v in images) for images, _ in group)}
         seen |= orbit
         placed = [args[j] for j in arrangement]
         total._add_sum(_evaluate_ordered(graph, placed, d), len(orbit))
@@ -517,30 +518,21 @@ _MAX_NESTING = 100
 # variables passes the bound at ``^18``, refused after 0.3 s of work.
 _MAX_PRODUCT_PAIRS = 25_000
 
+# ``bad`` takes any other character, so consecutive matches cover the text.
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<number>{_UNSIGNED_RATIONAL})|(?P<xi>xi\d+)|(?P<x>x\d+)"
-    r"|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<number>{_UNSIGNED_RATIONAL})|(?P<xi>xi[0-9]+)|(?P<x>x[0-9]+)"
+    r"|(?P<op>[-+*^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str, lineno: int | None) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            column = len(text) - len(stripped) + 1
-            raise ParseError(
-                f"unexpected character {stripped[0]!r} at column {column}",
-                lineno,
-            )
+    tokens = []
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
-        assert kind is not None
-        tokens.append((kind, match.group(kind), match.start(kind) + 1))
-        pos = match.end()
+        column = match.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r} at column {column}", lineno)
+        tokens.append((kind, match[kind], column))
     return tokens
 
 
@@ -684,7 +676,7 @@ def parse_poisson(text: str) -> Multivector:
         raise ParseError("empty input", None)
     lineno, header = lines[0]
     fields = header.split()
-    if len(fields) != 2 or fields[0] != "dim" or not fields[1].isdecimal():
+    if len(fields) != 2 or fields[0] != "dim" or not (fields[1].isascii() and fields[1].isdigit()):
         raise ParseError("expected header 'dim <d>'", lineno)
     digits = fields[1].lstrip("0") or "0"
     if len(digits) > len(str(_MAX_DIMENSION)) or int(digits) > _MAX_DIMENSION:

@@ -29,7 +29,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator, Union
 
 from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
-from .graphs import _least_labeling
+from .graphs import _integer, _least_labeling
 from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
 __all__ = [
@@ -803,11 +803,9 @@ def _parse_orgraph_body(body: str, lineno: int | None) -> Orgraph:
     fields = head.split()
     if not colon or not fields or fields[0] != "o" or len(fields) not in (2, 3):
         raise ParseError("expected 'o <n> [<sinks>] : L R ; ...'", lineno)
-    try:
-        n = int(fields[1])
-        s = int(fields[2]) if len(fields) == 3 else 2
-    except ValueError:
-        raise ParseError("vertex/sink counts must be integers", lineno) from None
+    message = "vertex/sink counts must be integers"
+    n = _integer(fields[1], lineno, message)
+    s = _integer(fields[2], lineno, message) if len(fields) == 3 else 2
     pairs = _int_pairs(pair_part, ";", "target pair", lineno)
     if len(pairs) != n:
         raise ParseError(f"expected {n} target pairs, found {len(pairs)}", lineno)

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from gckit import parse_graph, parse_graph_sum, parse_orgraph_sum
+from gckit import new_graph, parse_graph, parse_graph_sum, parse_orgraph_sum
 import gckit.cli as cli_module
 from gckit.cli import _build_parser
 
@@ -694,11 +694,58 @@ class TestOneRulePerSyntax:
         code, out, err = cli(verb, str(path))
         assert (code, out, err) == (2, "", f"error: line 2: bad coefficient '{coeff}'\n")
 
+    @pytest.mark.parametrize(
+        "verb, text, error",
+        [
+            ("d", "g 1_0 1\n1 2", "line 1: vertex/edge counts must be integers"),
+            ("d", "g \u0663 1\n1 2", "line 1: vertex/edge counts must be integers"),
+            ("d", "1 * g 1_0 1 : 1 2", "line 1: vertex/edge counts must be integers"),
+            ("d", "1 * g \u0663 1 : 1 2", "line 1: vertex/edge counts must be integers"),
+            ("d", "g 2 1\n1_0 2", "line 2: edge endpoints must be integers"),
+            ("d", "g 2 1\n1 \u0662", "line 2: edge endpoints must be integers"),
+            (
+                "d",
+                "g 2 1\n1 " + "2" * (sys.get_int_max_str_digits() + 1),
+                "line 2: edge endpoints must be integers",
+            ),
+            ("d", "1 * g 2 1 : 1_0 2", "line 1: bad edge '1_0 2'"),
+            ("d", "1 * g 2 1 : 1 \u0662", "line 1: bad edge '1 \u0662'"),
+            ("normalize", "o 1_0 : 0 1", "line 1: vertex/sink counts must be integers"),
+            ("normalize", "o \u0663 : 0 1", "line 1: vertex/sink counts must be integers"),
+            ("fold", "1 * o 2 0_2 : 0 3 ; 0 1", "line 1: vertex/sink counts must be integers"),
+            ("fold", "1 * o 2 \u0662 : 0 3 ; 0 1", "line 1: vertex/sink counts must be integers"),
+            ("normalize", "o 1 : 0_1 1", "line 1: bad target pair '0_1 1'"),
+            ("normalize", "o 1 : 0 \u0663", "line 1: bad target pair '0 \u0663'"),
+            ("d", "\u0663 * g 2 1 : 1 2", "line 1: bad coefficient '\u0663'"),
+            ("fold", "\u0663 * o 2 : 0 3 ; 0 1", "line 1: bad coefficient '\u0663'"),
+            ("schouten", "dim \u0663\nxi1*xi2", "line 1: expected header 'dim <d>'"),
+            ("schouten", "dim 3\n\u0663*xi1*xi2", "line 2: unexpected character '\u0663' at column 1"),
+            ("schouten", "dim 3\nx\u0663*xi1*xi2", "line 2: unexpected character 'x' at column 1"),
+            ("schouten", "dim 3\nx1*xi\u0662*xi1", "line 2: unexpected character 'x' at column 4"),
+        ],
+        ids=[
+            "graph-count-underscore", "graph-count-arabic", "sum-count-underscore",
+            "sum-count-arabic", "endpoint-underscore", "endpoint-arabic", "endpoint-too-long",
+            "sum-edge-underscore", "sum-edge-arabic", "orgraph-count-underscore",
+            "orgraph-count-arabic", "sink-count-underscore", "sink-count-arabic",
+            "target-underscore", "target-arabic", "graph-coefficient", "orgraph-coefficient",
+            "dim", "number", "x-index", "xi-index",
+        ],
+    )
+    def test_an_integer_is_ascii_digits(self, cli, tmp_path, verb, text, error):
+        path = tmp_path / "input.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        files = [str(path)] * (2 if verb == "schouten" else 1)
+        assert cli(verb, *files) == (2, "", f"error: {error}\n")
+
     def test_signed_fractions_and_integers_parse(self):
         total = parse_graph_sum("-1/3 * g 4 6 : 1 2, 1 3, 1 4, 2 3, 2 4, 3 4\n+2 * g 2 1 : 1 2")
         assert sorted(c for _, c in total.items()) == [Fraction(-1, 3), 2]
         total = parse_orgraph_sum(" -1/3 * o 2 : 0 3 ; 0 1\n+2 * o 1 : 0 1")
         assert sorted(c for _, c in total.items()) == [Fraction(-1, 3), 2]
+        # An integer field may carry a sign too.
+        assert parse_graph("g +2 +1\n+1 2") == new_graph(2, [(1, 2)])
+        assert parse_orgraph_sum("1 * o +1 +2 : 0 +1") == parse_orgraph_sum("1 * o 1 : 0 1")
 
 
 def _chain_orgraph(n: int) -> str:

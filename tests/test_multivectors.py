@@ -335,16 +335,20 @@ class TestAlgebraicEvaluator:
         # At most once, and only one arrangement per automorphism orbit: K4 is
         # vertex-transitive, the wheel's odd argument sits at the hub or on
         # the rim, and path3 has an odd automorphism, so nothing is evaluated.
+        # The group is searched only when there is more than one arrangement.
         graph = request.getfixturevalue(graph_name)
         args = {"a": so3, "b": cubic3, "o": mv("x1*xi2", 3)}
         with mock.patch.object(
             multivector_module,
             "_evaluate_ordered",
             wraps=multivector_module._evaluate_ordered,
-        ) as evaluate:
+        ) as evaluate, mock.patch.object(
+            multivector_module, "automorphisms", wraps=multivector_module.automorphisms
+        ) as search:
             or_evaluate_algebraic(graph, [args[c] for c in pattern])
         placed = [tuple(map(id, call.args[1])) for call in evaluate.call_args_list]
         assert len(placed) == len(set(placed)) == orbits
+        assert search.call_count == (orbits > 0 and len(set(pattern)) > 1)
 
 
 class TestOrgraphEvaluator:

@@ -511,9 +511,11 @@ class TestOnePathPerRule:
         masks = [w.mask for w in witnesses]
         assert masks == sorted(masks)
 
-    def test_sink_swap_needs_two_sinks(self):
+    def test_sink_swap_needs_two_sinks(self, edge):
         with pytest.raises(OrgraphError, match="^sink swap needs exactly 2 sinks$"):
             sink_swap(new_orgraph([(0, 1), (2, 3)], sink_count=3))
+        with pytest.raises(OrgraphError, match="^sink swap needs exactly 2 sinks$"):
+            enumerate_orientations(edge)[0].sink_swapped()
 
     def test_rule1_reports_the_shape_check(self, edge):
         w = enumerate_orientations(edge)[0]

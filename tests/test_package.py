@@ -99,6 +99,14 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"{path.name} never uses {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_integers_are_read_as_ascii_digits(path):
+    """``\\d`` and ``isdecimal`` accept the digits of every script, which no
+    writer prints; patterns spell ``[0-9]`` instead."""
+    text = path.read_text(encoding="utf-8")
+    assert "\\d" not in text and "isdecimal" not in text
+
+
 def test_every_private_helper_is_referenced():
     texts = [
         path.read_text()
