@@ -179,6 +179,41 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 # Parser
 
 
+# Each verb's help line, handler, and arguments in order, each a
+# ``(name, options)`` pair for ``add_argument``.
+_GRAPH_INPUT = ("input", dict(help="graph or graph-sum file"))
+_ORGRAPH_SUM_INPUT = ("input", dict(help="orgraph-sum file"))
+_POISSON = ("--poisson", dict(required=True, metavar="FILE"))
+_VERBS = {
+    "d": ("differential of a graph or graph sum", _cmd_d, [_GRAPH_INPUT]),
+    "cocycle": ("test whether the differential vanishes", _cmd_cocycle, [_GRAPH_INPUT]),
+    "kernel": ("basis of the cocycle space in a fixed bigrading", _cmd_kernel, [
+        ("--vertices", dict(type=int, required=True, metavar="N")),
+        ("--edges", dict(type=int, required=True, metavar="M")),
+    ]),
+    "orient": ("orientation morphism of a graph or sum", _cmd_orient, [
+        ("--reduce", dict(action="store_true",
+                          help="divide all coefficients by their positive rational content")),
+        _GRAPH_INPUT,
+    ]),
+    "normalize": ("canonical form and sign of one orgraph", _cmd_normalize, [
+        ("input", dict(help="orgraph file (one 'o ...' line)")),
+    ]),
+    "rules-check": ("cross-check the sign rules against witness parities", _cmd_rules_check, [
+        ("input", dict(help="graph file")),
+    ]),
+    "eval": ("evaluate an orgraph sum on a bivector", _cmd_eval, [_POISSON, _ORGRAPH_SUM_INPUT]),
+    "schouten": ("Schouten bracket of two multivectors", _cmd_schouten, [
+        ("f", dict(help="multivector file")), ("g", dict(help="multivector file")),
+    ]),
+    "verify-corollary": (
+        "check the differential-to-bracket identity on a bivector", _cmd_verify_corollary,
+        [("--graph", dict(required=True, metavar="FILE")), _POISSON],
+    ),
+    "fold": ("collapse sink-swapped pairs of an orgraph sum", _cmd_fold, [_ORGRAPH_SUM_INPUT]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gckit",
@@ -188,70 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
             " Poisson bivectors."
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=FORMAT_VERSION
-    )
+    parser.add_argument("--version", action="version", version=FORMAT_VERSION)
     sub = parser.add_subparsers(dest="verb", metavar="verb", required=True)
-
-    p = sub.add_parser("d", help="differential of a graph or graph sum")
-    p.add_argument("input", help="graph or graph-sum file")
-    p.set_defaults(handler=_cmd_d)
-
-    p = sub.add_parser("cocycle", help="test whether the differential vanishes")
-    p.add_argument("input", help="graph or graph-sum file")
-    p.set_defaults(handler=_cmd_cocycle)
-
-    p = sub.add_parser(
-        "kernel", help="basis of the cocycle space in a fixed bigrading"
-    )
-    p.add_argument("--vertices", type=int, required=True, metavar="N")
-    p.add_argument("--edges", type=int, required=True, metavar="M")
-    p.set_defaults(handler=_cmd_kernel)
-
-    p = sub.add_parser("orient", help="orientation morphism of a graph or sum")
-    p.add_argument(
-        "--reduce",
-        action="store_true",
-        help="divide all coefficients by their positive rational content",
-    )
-    p.add_argument("input", help="graph or graph-sum file")
-    p.set_defaults(handler=_cmd_orient)
-
-    p = sub.add_parser("normalize", help="canonical form and sign of one orgraph")
-    p.add_argument("input", help="orgraph file (one 'o ...' line)")
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser(
-        "rules-check",
-        help="cross-check the sign rules against witness parities",
-    )
-    p.add_argument("input", help="graph file")
-    p.set_defaults(handler=_cmd_rules_check)
-
-    p = sub.add_parser("eval", help="evaluate an orgraph sum on a bivector")
-    p.add_argument("--poisson", required=True, metavar="FILE")
-    p.add_argument("input", help="orgraph-sum file")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("schouten", help="Schouten bracket of two multivectors")
-    p.add_argument("f", help="multivector file")
-    p.add_argument("g", help="multivector file")
-    p.set_defaults(handler=_cmd_schouten)
-
-    p = sub.add_parser(
-        "verify-corollary",
-        help="check the differential-to-bracket identity on a bivector",
-    )
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--poisson", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_verify_corollary)
-
-    p = sub.add_parser(
-        "fold", help="collapse sink-swapped pairs of an orgraph sum"
-    )
-    p.add_argument("input", help="orgraph-sum file")
-    p.set_defaults(handler=_cmd_fold)
-
+    for verb, (help_line, handler, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -263,12 +241,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except SkewSymmetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_FALSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
+        return _EXIT_FALSE if isinstance(exc, SkewSymmetryError) else _EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .graphs import (
     GraphError,
     ParseError,
     UnorientedGraph,
+    _graph_counts,
     _integer,
     canonicalize,
     is_connected,
@@ -465,7 +466,7 @@ def parse_graph_sum(text: str) -> GraphSum:
         fields = head.split()
         if len(fields) != 3 or fields[0] != "g" or not colon:
             raise ParseError("expected 'g <vertices> <edges> : ...'", lineno)
-        n, m = (_integer(f, lineno, "vertex/edge counts must be integers") for f in fields[1:])
+        n, m = _graph_counts(fields[1:], lineno)
         edges = _int_pairs(edge_part, ",", "edge", lineno)
         if len(edges) != m:
             raise ParseError(f"expected {m} edges, found {len(edges)}", lineno)

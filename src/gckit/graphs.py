@@ -71,6 +71,14 @@ def _integer(text: str, lineno: int | None, message: str, *args: object) -> int:
     raise ParseError(message.format(*args), lineno)
 
 
+def _graph_counts(fields: list[str], lineno: int | None) -> tuple[int, int]:
+    """The vertex and edge counts of a ``g <vertices> <edges>`` header."""
+    n, m = (_integer(f, lineno, "vertex/edge counts must be integers") for f in fields)
+    if m < 0:
+        raise ParseError(f"edge count must be nonnegative, got {m}", lineno)
+    return n, m
+
+
 @dataclass(frozen=True)
 class UnorientedGraph:
     """A simple graph on vertices ``1..vertex_count`` with an ordered edge list.
@@ -347,7 +355,7 @@ def parse_graph(text: str) -> UnorientedGraph:
     parts = head.split()
     if len(parts) != 3 or parts[0] != "g":
         raise ParseError("expected header 'g <vertices> <edges>'", lineno)
-    n, m = (_integer(part, lineno, "vertex/edge counts must be integers") for part in parts[1:])
+    n, m = _graph_counts(parts[1:], lineno)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", lineno)
     edges = []

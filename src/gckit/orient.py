@@ -375,9 +375,7 @@ def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
             total._add_sum(orient(g), c)
         return total
     for w in enumerate_orientations(x):
-        norm = normalize_orgraph(w.orgraph())
-        if not norm.is_zero:
-            total._add(norm.orgraph, orientation_sign(w) * norm.sign)
+        total.add(w.orgraph(), orientation_sign(w))
     return total
 
 
@@ -432,13 +430,9 @@ def rule1_sign(w: OrientationWitness) -> int:
     """
     if w.shape() != "Pi":
         raise OrgraphError("rule 1 applies to Pi-shaped witnesses only")
-    companions = {}
-    for v in range(1, w.graph.vertex_count + 1):
-        ks = w.sinks[v - 1]
-        if ks:
-            body = [item_id for item_id, _ in w.items(v) if item_id >= 2]
-            companions[ks[0]] = body[0]
-    return -1 if companions[0] < companions[1] else 1
+    # A Pi sink's vertex emits it and one body item: the other id of its readout pair.
+    ids = w.readout()
+    return -1 if ids[ids.index(0) ^ 1] < ids[ids.index(1) ^ 1] else 1
 
 
 def rule2_transition_sign(
@@ -806,6 +800,8 @@ def _parse_orgraph_body(body: str, lineno: int | None) -> Orgraph:
     message = "vertex/sink counts must be integers"
     n = _integer(fields[1], lineno, message)
     s = _integer(fields[2], lineno, message) if len(fields) == 3 else 2
+    if n < 1:
+        raise ParseError("orgraph needs at least one internal vertex", lineno)
     pairs = _int_pairs(pair_part, ";", "target pair", lineno)
     if len(pairs) != n:
         raise ParseError(f"expected {n} target pairs, found {len(pairs)}", lineno)

@@ -321,6 +321,61 @@ def _readme_command_lines() -> dict[str, str]:
     }
 
 
+# The command's interface: every verb's help line and arguments, in order.
+# Each argument is its option strings, dest, ``required``, ``metavar``,
+# ``help``, ``type`` and action class: fields, not ``--help`` text, since
+# argparse wraps that differently across versions.
+_STORE, _STORE_TRUE = argparse._StoreAction, argparse._StoreTrueAction
+_GRAPH_INPUT = ((), "input", True, None, "graph or graph-sum file", None, _STORE)
+_ORGRAPH_SUM_INPUT = ((), "input", True, None, "orgraph-sum file", None, _STORE)
+_MULTIVECTOR = "multivector file"
+_POISSON = (("--poisson",), "poisson", True, "FILE", None, None, _STORE)
+CLI_INTERFACE = [
+    ("d", "differential of a graph or graph sum", [_GRAPH_INPUT]),
+    ("cocycle", "test whether the differential vanishes", [_GRAPH_INPUT]),
+    ("kernel", "basis of the cocycle space in a fixed bigrading", [
+        (("--vertices",), "vertices", True, "N", None, int, _STORE),
+        (("--edges",), "edges", True, "M", None, int, _STORE),
+    ]),
+    ("orient", "orientation morphism of a graph or sum", [
+        (("--reduce",), "reduce", False, None,
+         "divide all coefficients by their positive rational content", None, _STORE_TRUE),
+        _GRAPH_INPUT,
+    ]),
+    ("normalize", "canonical form and sign of one orgraph", [
+        ((), "input", True, None, "orgraph file (one 'o ...' line)", None, _STORE),
+    ]),
+    ("rules-check", "cross-check the sign rules against witness parities", [
+        ((), "input", True, None, "graph file", None, _STORE),
+    ]),
+    ("eval", "evaluate an orgraph sum on a bivector", [_POISSON, _ORGRAPH_SUM_INPUT]),
+    ("schouten", "Schouten bracket of two multivectors", [
+        ((), "f", True, None, _MULTIVECTOR, None, _STORE),
+        ((), "g", True, None, _MULTIVECTOR, None, _STORE),
+    ]),
+    ("verify-corollary", "check the differential-to-bracket identity on a bivector", [
+        (("--graph",), "graph", True, "FILE", None, None, _STORE),
+        _POISSON,
+    ]),
+    ("fold", "collapse sink-swapped pairs of an orgraph sum", [_ORGRAPH_SUM_INPUT]),
+]
+
+
+def test_the_parser_states_every_verb_and_argument_in_order():
+    parser = _build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {choice.dest: choice.help for choice in verbs._choices_actions}
+    found = [
+        (verb, helps[verb], [
+            (tuple(a.option_strings), a.dest, a.required, a.metavar, a.help, a.type, type(a))
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        for verb, sub in verbs.choices.items()
+    ]
+    assert found == CLI_INTERFACE
+
+
 def test_readme_documents_every_flag():
     parser = _build_parser()
     (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -722,6 +777,9 @@ class TestOneRulePerSyntax:
             ("schouten", "dim 3\n\u0663*xi1*xi2", "line 2: unexpected character '\u0663' at column 1"),
             ("schouten", "dim 3\nx\u0663*xi1*xi2", "line 2: unexpected character 'x' at column 1"),
             ("schouten", "dim 3\nx1*xi\u0662*xi1", "line 2: unexpected character 'x' at column 4"),
+            ("d", "g 2 -1", "line 1: edge count must be nonnegative, got -1"),
+            ("d", "1 * g 2 -1 :", "line 1: edge count must be nonnegative, got -1"),
+            ("normalize", "o -1 : 0 1", "line 1: orgraph needs at least one internal vertex"),
         ],
         ids=[
             "graph-count-underscore", "graph-count-arabic", "sum-count-underscore",
@@ -729,7 +787,8 @@ class TestOneRulePerSyntax:
             "sum-edge-underscore", "sum-edge-arabic", "orgraph-count-underscore",
             "orgraph-count-arabic", "sink-count-underscore", "sink-count-arabic",
             "target-underscore", "target-arabic", "graph-coefficient", "orgraph-coefficient",
-            "dim", "number", "x-index", "xi-index",
+            "dim", "number", "x-index", "xi-index", "graph-count-negative",
+            "sum-count-negative", "orgraph-count-negative",
         ],
     )
     def test_an_integer_is_ascii_digits(self, cli, tmp_path, verb, text, error):

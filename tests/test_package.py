@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -158,3 +159,18 @@ def test_the_benchmark_inputs_are_rederived_byte_for_byte(monkeypatch):
     )
     for name, data in derived.items():
         assert data == (ROOT / "perfbench" / "inputs" / name).read_bytes(), name
+
+
+def test_the_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` checks the tracer's bindings, that traced
+    stdout is byte-identical to untraced, and the operation goldens, so a
+    refactor that breaks any of them fails here and not only in the benchmark."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    failed = [line for line in done.stdout.splitlines() if line.startswith("FAIL")]
+    assert (done.returncode, failed) == (0, []), done.stdout + done.stderr
