@@ -220,7 +220,7 @@ def _minimal_labelings(
                 label[v] = depth
                 search(refined, depth + 1)
 
-    search([list(neighbours)], 0)
+    search([list(neighbours)] if neighbours else [], 0)
     return found
 
 
@@ -276,8 +276,6 @@ def _canonical_core(
     no edge, so only the vertices that carry an edge are searched.  Every
     least labeling gives the same sorted edges.
     """
-    if not ref_edges:
-        return ref_edges, 1, False
     vertices = sorted({v for edge in ref_edges for v in edge})
     neighbours, row, relabeled = _graph_search(ref_edges, vertices)
     label, sign, is_zero = _least_labeling(

@@ -504,7 +504,7 @@ def flow_commutator_check(
 # Text format: expressions in x1..xd, xi1..xid with rational coefficients.
 
 
-# The largest exponent the parser expands; ``x1^e`` costs e multiplications.
+# The largest exponent the parser accepts; ``(f)^e`` of a sum f costs e products.
 _MAX_EXPONENT = 100
 
 # The largest ``dim`` header accepted; every term stores a d-tuple.
@@ -624,8 +624,12 @@ class _ExpressionParser:
             raise self.fail(
                 f"exponent above the maximum {_MAX_EXPONENT}", exponent_token[2]
             )
+        e = int(digits)
+        if len(base) == 1:  # (c x^m xi^S)^e = c^e x^(e m) xi^S...xi^S, zero when S repeats
+            ((xexp, xis), coeff), = base.items()
+            return Multivector.of((tuple(m * e for m in xexp), xis * e)) * coeff**e
         value = Multivector.of(((0,) * self.dimension, ()))
-        for _ in range(int(digits)):
+        for _ in range(e):
             value = self.product(value, base, caret[2])
         return value
 

@@ -582,10 +582,6 @@ def _transposition_counts(w: OrientationWitness) -> tuple[int, int]:
     return inversion_count(seq_edge), inversion_count(seq_enc)
 
 
-def _rule1_dressing(w: OrientationWitness) -> int:
-    return rule1_sign(w) if w.shape() == "Pi" else 1
-
-
 def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
     """Check the combinatorial sign rules against permutation parities.
 
@@ -626,13 +622,11 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
 
     witnesses = enumerate_orientations(g)
     eps_of = {w: orientation_sign(w) for w in witnesses}
-    class_of: dict[OrientationWitness, Orgraph] = {}
     contribution: dict[OrientationWitness, int] = {}
     members: dict[Orgraph, list[OrientationWitness]] = {}
     for w in witnesses:
         norm = normalize_orgraph(w.orgraph())
         if not norm.is_zero:
-            class_of[w] = norm.orgraph
             contribution[w] = eps_of[w] * norm.sign
             members.setdefault(norm.orgraph, []).append(w)
     classes = sorted(members, key=Orgraph.sort_key)
@@ -702,11 +696,10 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
                 )
     verdict(f"elementary move signs ({moves} moves)", wrong)
 
-    nonzero = [w for w in witnesses if w in class_of]
-    if not two_sinks or not nonzero:
+    if not two_sinks or not contribution:
         return report
     # reference witness: the Lambda witness of minimal readout inversions
-    pool = [w for w in nonzero if w.shape() == "Lambda"] or nonzero
+    pool = [w for w in contribution if w.shape() == "Lambda"] or list(contribution)
     ref = min(pool, key=lambda w: (inversion_count(w.readout()), w.sort_key()))
     # breadth-first parity transport from the reference witness
     transport = {ref: (1, 0)}
@@ -722,9 +715,10 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
     counts_of = {
         w: _transposition_counts(w) for key in displayed for w in members[key]
     }
-    designated = {class_of[ref]: ref}
+    ref_class = normalize_orgraph(ref.orgraph()).orgraph
+    designated = {ref_class: ref}
     for key in displayed:
-        if key == class_of[ref]:
+        if key == ref_class:
             continue
         head = (
             f"chain -> {encode_compact(key)} [{shape(key)}, coeff {coefficient[key]},"
@@ -743,7 +737,7 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
             ),
         )
         for target in candidates:
-            r1 = _rule1_dressing(ref) * _rule1_dressing(target)
+            r1 = prod(rule1_sign(w) for w in (ref, target) if w.shape() == "Pi")
             predicted = r1 * rule2_transition_sign(ref, target)
             if predicted == contribution[ref] * contribution[target]:
                 designated[key] = target

@@ -23,7 +23,6 @@ from gckit import (
     fold_sink_swap,
     format_orgraph_sum,
     jacobiator,
-    new_orgraph,
     normalize_orgraph,
     or_evaluate_algebraic,
     orient,

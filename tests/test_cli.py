@@ -20,72 +20,38 @@ import gckit.cli as cli_module
 from gckit.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "perfbench" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
+BENCHMARK_GOLDEN = ROOT / "perfbench" / "golden"
+VERBS_GOLDEN = GOLDEN / "verbs"
+RULES_INPUTS = GOLDEN / "rules-check" / "inputs"
+SLOW_COROLLARIES = {("wheel5", "cubic3"), ("companion5", "cubic3")}
+SLOW_EVALS = {("companion5", "cubic3")}
 
 
-def _load_workloads():
-    """The benchmark's operation table, ``perfbench/workloads.py``."""
+def benchmark_cases() -> dict[str, list[str]]:
+    """Argument lists of the benchmark operations on their inputs as checked
+    in, from the operation table ``perfbench/workloads.py``."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads()
-EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-
-# Frozen ``rules-check`` stdout and exit codes: the ``data/`` graphs,
-# ``perfbench/inputs/wheel7.g``, and every connected graph class with at most
-# four vertices or with five vertices and at least six edges (``inputs/``).
-# The zero graphs among them exit 1 with ``result: INCONSISTENT``.
-RULES_GOLDEN = ROOT / "tests" / "golden" / "rules-check"
-RULES_EXIT_CODES = json.loads(
-    (RULES_GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
-)
-
-
-def _find_input(name: str, *folders: Path) -> Path:
-    for folder in folders:
-        path = folder / f"{name}.g"
-        if path.exists():
-            return path
-    raise FileNotFoundError(name)
-
-
-def _rules_input(name: str) -> Path:
-    return _find_input(name, RULES_GOLDEN / "inputs", ROOT / "data", ROOT / "perfbench" / "inputs")
-
-
-# Frozen ``d`` stdout and exit codes: every graph of the ``rules-check``
-# corpus (the single vertex, leaves and bivalent vertices among them) and the
-# disconnected graphs with isolated vertices or leaves in ``inputs/``.
-D_GOLDEN = ROOT / "tests" / "golden" / "d"
-D_EXIT_CODES = json.loads((D_GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-D_INPUTS = (RULES_GOLDEN / "inputs", D_GOLDEN / "inputs")
-
-
-# Frozen stdout and exit codes of every verb on every ``data/`` input: per
-# graph ``d``, ``cocycle``, ``orient``, ``orient --reduce``, and ``fold`` of
-# that graph's ``orient`` golden (``edge`` has 3 sinks, so its ``fold`` exits
-# 2; ``path3`` is a zero graph, so its ``orient`` is empty and so is its
-# ``fold``); ``verify-corollary`` per graph and bivector,
-# except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each);
-# ``eval`` of that graph's ``orient`` golden per bivector, except
-# ``companion5`` on ``cubic3`` (4.6 s; ``edge`` gives a 3-sink flow);
-# ``schouten`` per ordered pair of bivectors; and ``kernel`` at (7, 11),
-# whose 432 x 70 differential has a 5-dimensional kernel.
-VERBS_GOLDEN = ROOT / "tests" / "golden" / "verbs"
-VERBS_EXIT_CODES = json.loads(
-    (VERBS_GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
-)
-SLOW_COROLLARIES = {("wheel5", "cubic3"), ("companion5", "cubic3")}
-SLOW_EVALS = {("companion5", "cubic3")}
+    return module.materialize(ROOT, list(module.OPS), None, None)
 
 
 def verb_cases() -> dict[str, list[str]]:
-    """Argument lists of the ``verbs`` goldens, keyed by case name."""
+    """Argument lists of the ``verbs`` goldens, keyed by case name.
+
+    Per graph: ``d``, ``cocycle``, ``orient``, ``orient --reduce``, and
+    ``fold`` of that graph's ``orient`` golden (``edge`` has 3 sinks, so its
+    ``fold`` exits 2; ``path3`` is a zero graph, so its ``orient`` is empty
+    and so is its ``fold``).  ``verify-corollary`` per graph and bivector,
+    except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each);
+    ``eval`` of that graph's ``orient`` golden per bivector, except
+    ``companion5`` on ``cubic3`` (4.6 s; ``edge`` gives a 3-sink flow);
+    ``schouten`` per ordered pair of bivectors; and ``kernel`` at (7, 11),
+    whose 432 x 70 differential has a 5-dimensional kernel.
+    """
     data = ROOT / "data"
     graphs = sorted(path.stem for path in data.glob("*.g"))
     bivectors = sorted(path.stem for path in data.glob("*.poisson"))
@@ -116,49 +82,67 @@ def verb_cases() -> dict[str, list[str]]:
     return cases
 
 
-TETRA_REDUCED = """\
-1 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
--3 * o 4 : 0 3 ; 1 4 ; 2 5 ; 2 3
--3 * o 4 : 0 3 ; 4 5 ; 1 2 ; 2 4
-"""
+def _graph_cases(verb: str, *folders: Path) -> dict[str, list[str]]:
+    """``verb`` on every ``.g`` file of ``folders``, keyed by file stem."""
+    return {path.stem: [verb, str(path)] for folder in folders for path in folder.glob("*.g")}
 
-TETRA_RAW = """\
-8 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
--24 * o 4 : 0 3 ; 1 4 ; 2 5 ; 2 3
--24 * o 4 : 0 3 ; 4 5 ; 1 2 ; 2 4
-"""
+
+# Every frozen output: suite -> (golden directory, {case: argument list}).  A
+# case's stdout is ``<case>.out`` there and its exit code is the case's entry
+# in ``exit_codes.json``.
+#   perfbench    every benchmark operation on its inputs as checked in;
+#   verbs        every verb on every ``data/`` input (``verb_cases``);
+#   d            small connected graph classes (the single vertex, leaves and
+#                bivalent vertices among them) and disconnected graphs with
+#                isolated vertices or leaves;
+#   rules-check  the ``data/`` graphs, the heptagon wheel, and every connected
+#                graph class with at most four vertices or with five vertices
+#                and at least six edges; the zero graphs among them exit 1
+#                with ``result: INCONSISTENT``.
+GOLDEN_SUITES = {
+    "perfbench": (BENCHMARK_GOLDEN, benchmark_cases()),
+    "verbs": (VERBS_GOLDEN, verb_cases()),
+    "d": (GOLDEN / "d", _graph_cases("d", RULES_INPUTS, GOLDEN / "d" / "inputs")),
+    "rules-check": (
+        GOLDEN / "rules-check",
+        _graph_cases("rules-check", RULES_INPUTS, ROOT / "data", ROOT / "perfbench" / "inputs"),
+    ),
+}
+
+
+def _exit_codes(directory: Path) -> dict[str, int]:
+    return json.loads((directory / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("suite", GOLDEN_SUITES)
+def test_every_case_has_one_golden(suite):
+    directory, cases = GOLDEN_SUITES[suite]
+    outputs = [path.stem for path in directory.glob("*.out")]
+    assert sorted(cases) == sorted(_exit_codes(directory)) == sorted(outputs)
+
+
+@pytest.mark.parametrize(
+    "suite, case",
+    [(suite, case) for suite, (_, cases) in GOLDEN_SUITES.items() for case in cases],
+    ids=lambda value: value,
+)
+def test_matches_golden(cli, suite, case):
+    """Exit code and stdout are the golden's; stderr is empty on exit 0 and 1
+    and one ``error:`` line on exit 2."""
+    directory, cases = GOLDEN_SUITES[suite]
+    code, out, err = cli(*cases[case])
+    assert code == _exit_codes(directory)[case]
+    assert out.encode("utf-8") == (directory / f"{case}.out").read_bytes()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == ""
+
 
 KERNEL_4_6 = """\
 dimension: 1
 # basis 1
 1 * g 4 6 : 1 2, 1 3, 1 4, 2 3, 2 4, 3 4
-"""
-
-KERNEL_6_10 = """\
-dimension: 1
-# basis 1
-2 * g 6 10 : 1 2, 1 3, 1 4, 1 5, 1 6, 2 3, 2 4, 3 5, 4 6, 5 6
-5 * g 6 10 : 1 2, 1 3, 1 4, 1 5, 2 3, 2 4, 2 6, 3 5, 4 6, 5 6
-"""
-
-EDGE_RULES_REPORT = """\
-witnesses: 6
-classes: 3
-class consistency: ok
-elementary move signs (24 moves): ok
-result: consistent
-"""
-
-TETRA_FOLDED = """\
-8 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
--24 * o 4 : 0 3 ; 1 4 ; 2 5 ; 2 3
-"""
-
-CUBIC_SELF_BRACKET = """\
-dim 3
-2*x1*x2^2*x3^2*xi1*xi2*xi3
-2*x1^2*x2*x3^2*xi1*xi2*xi3
-2*x1^2*x2^2*x3*xi1*xi2*xi3
 """
 
 TETRA_FLOW_ON_CUBIC = """\
@@ -284,10 +268,6 @@ class TestKernel:
         code, out, _ = cli("kernel", "--vertices", "4", "--edges", "6")
         assert (code, out) == (0, KERNEL_4_6)
 
-    def test_six_vertex_bigrading(self, cli):
-        code, out, _ = cli("kernel", "--vertices", "6", "--edges", "10")
-        assert (code, out) == (0, KERNEL_6_10)
-
     def test_empty_kernel(self, cli):
         code, out, _ = cli("kernel", "--vertices", "4", "--edges", "5")
         assert (code, out) == (0, "dimension: 0\n")
@@ -389,56 +369,7 @@ def test_readme_documents_every_flag():
                     assert flag in words, f"README omits {verb} {flag}"
 
 
-class TestBenchmarkGoldens:
-    """Every benchmark operation, on its inputs as checked in, prints its golden."""
-
-    @pytest.mark.parametrize("op", list(EXIT_CODES))
-    def test_matches_benchmark_golden(self, cli, op):
-        argv = [
-            str(WORKLOADS.source_path(ROOT, arg[1:-1])) if arg.startswith("{") else arg
-            for arg in WORKLOADS.OPS[op][1]
-        ]
-        code, out, _ = cli(*argv)
-        assert code == EXIT_CODES[op]
-        assert out.encode("utf-8") == (GOLDEN / f"{op}.out").read_bytes()
-
-
-class TestVerbGoldens:
-    """Every verb on every ``data/`` input prints its golden bytes."""
-
-    def test_cases_match_the_goldens(self):
-        assert sorted(verb_cases()) == sorted(VERBS_EXIT_CODES)
-
-    @pytest.mark.parametrize("case", sorted(VERBS_EXIT_CODES))
-    def test_matches_golden(self, cli, case):
-        code, out, _ = cli(*verb_cases()[case])
-        assert code == VERBS_EXIT_CODES[case]
-        assert out.encode("utf-8") == (VERBS_GOLDEN / f"{case}.out").read_bytes()
-
-
-class TestDGoldens:
-    """``d`` on small, leafy and disconnected graphs prints its golden bytes."""
-
-    def test_every_input_has_a_golden(self):
-        names = [path.stem for folder in D_INPUTS for path in folder.glob("*.g")]
-        assert sorted(names) == sorted(D_EXIT_CODES)
-
-    @pytest.mark.parametrize("name", sorted(D_EXIT_CODES))
-    def test_matches_golden(self, cli, name):
-        code, out, _ = cli("d", str(_find_input(name, *D_INPUTS)))
-        assert code == D_EXIT_CODES[name]
-        assert out.encode("utf-8") == (D_GOLDEN / f"{name}.out").read_bytes()
-
-
 class TestOrient:
-    def test_reduced_flow(self, cli, tetra_file):
-        code, out, err = cli("orient", "--reduce", tetra_file)
-        assert (code, out, err) == (0, TETRA_REDUCED, "")
-
-    def test_raw_flow(self, cli, tetra_file):
-        code, out, _ = cli("orient", tetra_file)
-        assert (code, out) == (0, TETRA_RAW)
-
     def test_zero_flow_prints_nothing(self, cli, data_dir):
         code, out, _ = cli("orient", str(data_dir / "path3.g"))
         assert (code, out) == (0, "")
@@ -500,10 +431,6 @@ class TestNormalize:
 
 
 class TestRulesCheck:
-    def test_edge_report(self, cli, data_dir):
-        code, out, _ = cli("rules-check", str(data_dir / "edge.g"))
-        assert (code, out) == (0, EDGE_RULES_REPORT)
-
     def test_tetra_report_consistent(self, cli, tetra_file):
         code, out, _ = cli("rules-check", tetra_file)
         assert code == 0
@@ -515,13 +442,6 @@ class TestRulesCheck:
         assert code == 0
         assert "(-)(+)(-) = (+)" in out
         assert "edge-order 10, encoding-order 15" in out
-
-    @pytest.mark.parametrize("name", sorted(RULES_EXIT_CODES))
-    def test_matches_golden(self, cli, name):
-        code, out, _ = cli("rules-check", str(_rules_input(name)))
-        assert code == RULES_EXIT_CODES[name]
-        assert out.encode("utf-8") == (RULES_GOLDEN / f"{name}.out").read_bytes()
-
 
 class TestEvalAndSchouten:
     def test_flow_of_poisson_bivector_vanishes(self, cli, q3_file, data_dir):
@@ -562,22 +482,10 @@ class TestEvalAndSchouten:
         code, out, _ = cli("normalize", str(path))
         assert (code, out) == (0, "1 * o 1 30000000 : 0 1\n")
 
-    def test_pentagon_wheel_flow_of_poisson_bivector_vanishes(
-        self, cli, tmp_path, data_dir
-    ):
-        cocycle = tmp_path / "gamma5.gs"
-        cocycle.write_text(KERNEL_6_10.split("# basis 1\n")[1])
-        code, flow, _ = cli("orient", str(cocycle))
-        assert code == 0
-        path = tmp_path / "or_gamma5.os"
-        path.write_text(flow)
-        code, out, _ = cli("eval", "--poisson", str(data_dir / "so3.poisson"), str(path))
+    def test_pentagon_wheel_flow_of_poisson_bivector_vanishes(self, cli, data_dir):
+        flow = str(BENCHMARK_GOLDEN / "orient-gamma5.out")
+        code, out, _ = cli("eval", "--poisson", str(data_dir / "so3.poisson"), flow)
         assert (code, out) == (0, "dim 3\n")
-
-    def test_schouten_self_bracket(self, cli, data_dir):
-        cubic = str(data_dir / "cubic3.poisson")
-        code, out, _ = cli("schouten", cubic, cubic)
-        assert (code, out) == (0, CUBIC_SELF_BRACKET)
 
     def test_schouten_of_poisson_with_itself_is_zero(self, cli, data_dir):
         so3 = str(data_dir / "so3.poisson")
@@ -650,13 +558,6 @@ class TestVerifyCorollary:
 
 
 class TestFold:
-    def test_tetra_flow(self, cli, tmp_path, tetra_file):
-        code, raw, _ = cli("orient", tetra_file)
-        path = tmp_path / "flow.ogs"
-        path.write_text(raw)
-        code, out, _ = cli("fold", str(path))
-        assert (code, out) == (0, TETRA_FOLDED)
-
     def test_violation_is_a_mathematical_failure(self, cli, tmp_path, tetra_file):
         _, raw, _ = cli("orient", tetra_file)
         broken = "\n".join(raw.splitlines()[:-1]) + "\n"
@@ -680,7 +581,7 @@ class TestFold:
 
 # ``rules-check`` of ``data/wheel5.g`` with the sign of its first Pi witness
 # flipped: every check line reads MISMATCH.
-MISMATCH_GOLDEN = ROOT / "tests" / "golden" / "rules-check-mismatch" / "wheel5.out"
+MISMATCH_GOLDEN = GOLDEN / "rules-check-mismatch" / "wheel5.out"
 
 
 class TestOnePathPerRule:

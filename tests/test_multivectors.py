@@ -16,6 +16,7 @@ from gckit import (
     Multivector,
     MultivectorError,
     OrgraphError,
+    OrgraphSum,
     ParseError,
     evaluate_orgraph,
     flow_commutator_check,
@@ -24,7 +25,6 @@ from gckit import (
     is_bivector,
     jacobiator,
     multivector_product,
-    new_graph,
     new_orgraph,
     or_evaluate_algebraic,
     orient,
@@ -32,6 +32,7 @@ from gckit import (
     parse_orgraph,
     parse_poisson,
     schouten,
+    shape,
     verify_corollary,
     x_derivative,
     xi_derivative,
@@ -485,6 +486,70 @@ class TestIdentities:
                 flow_commutator_check(gamma1, gamma2, so3)
 
 
+def nambu(rho: Multivector, a: Multivector) -> Multivector:
+    """The bivector of {f, g} = rho * det d(f, g, a)/d(x1, x2, x3) on R^3.
+
+    It is rho*(d3(a) xi1 xi2 + d1(a) xi2 xi3 + d2(a) xi3 xi1), Poisson for
+    all polynomials rho and a.
+    """
+    total = Multivector(3)
+    for k, pair in ((2, "xi1*xi2"), (0, "xi2*xi3"), (1, "xi3*xi1")):
+        total += multivector_product(x_derivative(a, k), mv(pair, 3))
+    return multivector_product(rho, total)
+
+
+# (rho, a, terms of the tetrahedral flow)
+NAMBU_BRACKETS = [
+    ("x1 + x2", "x1^2*x2 + x3^3", 22),
+    ("x2 + x3", "x1^3 + x2^2*x3", 22),
+    ("x1 - x3", "x1*x2^2 + x3^3", 28),
+]
+
+
+class TestOnShell:
+    """The corollary on Poisson bivectors whose tetrahedral flow is nonzero.
+
+    On the ``data/`` bivectors every such check reads 0 = 0: the flows on
+    ``so3`` vanish by degree, and in d = 2 (``quad2``, ``sym2``) [[P, Q]] is a
+    trivector.  On the Nambu brackets below Q = Or(tetra)(P) is nonzero, and
+    [[P, Q]] = 0 holds only for the weights Or gives its graphs.
+
+    Or(tetra) = 8 G1 - 24 G2 - 24 G2', with G1 the Lambda orgraph (both sinks
+    on one vertex) and G2, G2' the Pi orgraph in its two sink orders.  This
+    is the balance a:b = 1:6 of Bouisaghouane, Buring and Kiselev, "The
+    Kontsevich tetrahedral flow revisited" (arXiv:1608.01710): their b
+    weighs the Pi graph summed over both sink orders (24 + 24 = 6 * 8), and
+    the sign of a graph's coefficient depends on the order of its edges,
+    which the two conventions choose differently.  Weighting the Lambda term
+    against the two Pi terms in any other ratio breaks the cocycle.
+    """
+
+    @pytest.mark.parametrize("rho, a, terms", NAMBU_BRACKETS)
+    def test_the_tetrahedral_flow_is_a_poisson_cocycle(self, tetra, rho, a, terms):
+        p = nambu(mv(rho, 3), mv(a, 3))
+        assert not jacobiator(p)
+        q = evaluate_orgraph(orient(tetra), p)
+        assert len(q) == terms
+        assert not schouten(p, q)
+
+    @pytest.mark.parametrize("rho, a, terms", NAMBU_BRACKETS)
+    def test_other_weights_are_not_cocycles(self, tetra, rho, a, terms):
+        p = nambu(mv(rho, 3), mv(a, 3))
+        flow = orient(tetra)
+        lam, pi = (
+            evaluate_orgraph(OrgraphSum([(g, c) for g, c in flow.items() if shape(g) == kind]), p)
+            for kind in ("Lambda", "Pi")
+        )
+        for weights in [(1, -1), (1, 2), (1, 0), (0, 1)]:
+            assert schouten(p, weights[0] * lam + weights[1] * pi), weights
+
+    def test_both_evaluators_and_the_corollary_agree(self, tetra):
+        rho, a, _ = NAMBU_BRACKETS[0]
+        p = nambu(mv(rho, 3), mv(a, 3))
+        assert or_evaluate_algebraic(tetra, [p] * 4) == evaluate_orgraph(orient(tetra), p)
+        assert verify_corollary(tetra, p)
+
+
 # ---------------------------------------------------------------------------
 # Text format
 
@@ -590,6 +655,28 @@ class TestMultivectorTextFormat:
         text = f"{left}*({powers('x3', 100)}+x3^100)"
         with pytest.raises(ParseError, match=f"term pairs at column {len(left) + 1}$"):
             mv(text, 3)
+
+    @pytest.mark.parametrize(
+        "text, product",
+        [
+            ("xi1^2", "xi1*xi1"),
+            ("xi1^0", "1"),
+            ("(-2*xi1)^3", "(-2*xi1)*(-2*xi1)*(-2*xi1)"),
+            ("(1/2*x1)^2", "(1/2*x1)*(1/2*x1)"),
+            ("(x1*xi1*xi2)^2", "(x1*xi1*xi2)*(x1*xi1*xi2)"),
+            ("0^0", "1"),
+            ("(x1+x2)^3", "(x1+x2)*(x1+x2)*(x1+x2)"),
+        ],
+    )
+    def test_a_power_is_a_repeated_product(self, text, product):
+        assert mv(text, 3) == mv(product, 3)
+
+    def test_a_one_term_base_is_raised_without_products(self):
+        with mock.patch.object(
+            multivector_module, "multivector_product", side_effect=AssertionError
+        ):
+            assert mv("x1^100", 1) == Multivector.of(((100,), ()))
+            assert mv("(-xi1)^2", 1) == mv("0", 1)
 
     def test_file_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="empty input"):

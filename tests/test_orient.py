@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from gckit import (
     normalize_orgraph,
     orient,
     orientation_sign,
+    parse_graph,
     parse_orgraph,
     parse_orgraph_sum,
     rule1_sign,
@@ -384,6 +387,23 @@ class TestCrosscheck:
         # some classes have no one-step summary; their signs are transported
         # move by move instead
         assert "walk of" in text
+
+    def test_a_walk_that_disagrees_with_the_parity_ratio_is_a_mismatch(self, data_dir):
+        # With every rule sign negated, a walk of odd length transports the
+        # wrong sign, and its class is reported.
+        orient_module = importlib.import_module("gckit.orient")
+        with mock.patch.object(
+            orient_module,
+            "elementary_moves",
+            lambda w: [(target, -sign) for target, sign in elementary_moves(w)],
+        ):
+            report = crosscheck_rules(parse_graph((data_dir / "companion5.g").read_text()))
+        walks = [line for line in report.lines if " walk of " in line]
+        assert len(walks) == 26
+        assert sum(line.endswith(" MISMATCH") for line in walks) == 14
+        disagree = ": transported move sign disagrees with the witness parity ratio"
+        assert sum(m.endswith(disagree) for m in report.mismatches) == 14
+        assert not report.consistent
 
     def test_edge_report_without_sink_pair_sections(self, edge):
         report = crosscheck_rules(edge)

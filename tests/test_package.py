@@ -1,6 +1,7 @@
 """The package namespace re-exports every module's public names, no module
-keeps an unused import or an unreferenced private helper, and the
-benchmark's tracer finds every function and cache it reads."""
+or test file keeps an unused import, no module keeps an unreferenced
+private helper, and the benchmark's tracer finds every function and cache
+it reads."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -92,7 +92,9 @@ def _module_level_imports(tree: ast.Module) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + sorted((ROOT / "tests").glob("*.py")), ids=lambda path: path.name
+)
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -140,25 +142,6 @@ def test_readme_names_only_defined_private_names():
         if not any(hasattr(modules[key], name) for key in modules if owner in ("", key))
     ]
     assert not missing, f"README names undefined {missing}"
-
-
-def test_the_benchmark_inputs_are_rederived_byte_for_byte(monkeypatch):
-    """``perfbench/make_goldens.py`` picks the heptagon-wheel orgraphs by
-    their position in ``enumerate_orientations``, so the witness order and
-    every other derivation must reproduce the checked-in inputs."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    with mock.patch.dict(sys.modules):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_make_goldens", ROOT / "perfbench" / "make_goldens.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        derived = module.derive(ROOT)
-    assert sorted(derived) == sorted(
-        ["gamma5.gs", "or_gamma5.os", "or_tetra.os", "wheel7.g", *module.HEPTAGON_ORGRAPHS]
-    )
-    for name, data in derived.items():
-        assert data == (ROOT / "perfbench" / "inputs" / name).read_bytes(), name
 
 
 def test_the_benchmark_selftest_passes():
