@@ -121,22 +121,35 @@ def test_every_case_has_one_golden(suite):
     assert sorted(cases) == sorted(_exit_codes(directory)) == sorted(outputs)
 
 
-@pytest.mark.parametrize(
-    "suite, case",
-    [(suite, case) for suite, (_, cases) in GOLDEN_SUITES.items() for case in cases],
-    ids=lambda value: value,
-)
-def test_matches_golden(cli, suite, case):
-    """Exit code and stdout are the golden's; stderr is empty on exit 0 and 1
-    and one ``error:`` line on exit 2."""
+def _golden_test(suite: str):
+    """One parametrized test per table entry of ``suite``: exit code and
+    stdout are the golden's; stderr is empty on exit 0 and 1 and one
+    ``error:`` line on exit 2."""
     directory, cases = GOLDEN_SUITES[suite]
-    code, out, err = cli(*cases[case])
-    assert code == _exit_codes(directory)[case]
-    assert out.encode("utf-8") == (directory / f"{case}.out").read_bytes()
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
-    else:
-        assert err == ""
+
+    @pytest.mark.parametrize("case", cases)
+    def test(self, cli, case):
+        code, out, err = cli(*cases[case])
+        assert code == _exit_codes(directory)[case]
+        assert out.encode("utf-8") == (directory / f"{case}.out").read_bytes()
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert err == ""
+
+    return test
+
+
+class TestBenchmarkGoldens:
+    test_matches_benchmark_golden = _golden_test("perfbench")
+
+
+class TestVerbGoldens:
+    test_matches_golden = _golden_test("verbs")
+
+
+class TestDGoldens:
+    test_matches_golden = _golden_test("d")
 
 
 KERNEL_4_6 = """\
@@ -431,6 +444,8 @@ class TestNormalize:
 
 
 class TestRulesCheck:
+    test_matches_golden = _golden_test("rules-check")
+
     def test_tetra_report_consistent(self, cli, tetra_file):
         code, out, _ = cli("rules-check", tetra_file)
         assert code == 0
