@@ -16,10 +16,10 @@ fixed (vertices, edges) bidegree is computed exactly over the rationals.
 from __future__ import annotations
 
 import re
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .graphs import (
     Edge,
@@ -46,7 +46,7 @@ __all__ = [
     "format_graph_sum",
 ]
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 def _exact(value: Rational) -> Rational:
@@ -260,7 +260,7 @@ def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:
 
 
 def bracket(
-    x: Union[UnorientedGraph, GraphSum], y: Union[UnorientedGraph, GraphSum]
+    x: UnorientedGraph | GraphSum, y: UnorientedGraph | GraphSum
 ) -> GraphSum:
     """Graded commutator of insertions, extended bilinearly.
 
@@ -277,7 +277,7 @@ def bracket(
     return total
 
 
-def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
+def differential(x: UnorientedGraph | GraphSum) -> GraphSum:
     """Vertex-expansion differential ``bracket(EDGE_GRAPH, x)``, without the
     terms that cancel.
 
@@ -321,7 +321,7 @@ def differential(x: Union[UnorientedGraph, GraphSum]) -> GraphSum:
     return total
 
 
-def is_cocycle(x: Union[UnorientedGraph, GraphSum]) -> bool:
+def is_cocycle(x: UnorientedGraph | GraphSum) -> bool:
     """True when the differential of ``x`` vanishes identically."""
     return not differential(x)
 

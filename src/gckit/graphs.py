@@ -22,10 +22,9 @@ rows exceed the best found, so every least labeling and parity is found;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Edge",
@@ -79,16 +78,52 @@ def _graph_counts(fields: list[str], lineno: int | None) -> tuple[int, int]:
     return n, m
 
 
-@dataclass(frozen=True)
-class UnorientedGraph:
+class _Frozen:
+    """Base of the frozen value classes.
+
+    Each subclass names its fields in ``__slots__`` and sets them once, in its
+    own ``__init__``, through ``object.__setattr__``; assigning or deleting
+    one afterwards raises ``AttributeError``.  The ``repr`` reads
+    ``Class(field=value, ...)`` in slot order.  Equality and hashing stay in
+    each subclass, spelled out over its fields: a loop over the fields here
+    would slow every dictionary lookup of a graph or an orgraph.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name != "__dict__"
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class UnorientedGraph(_Frozen):
     """A simple graph on vertices ``1..vertex_count`` with an ordered edge list.
 
     Each edge is stored with its endpoints sorted; the position of an edge in
     ``edges`` is the meaningful datum.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -109,14 +144,26 @@ class UnorientedGraph:
         return f"UnorientedGraph({self.vertex_count}; {pairs})"
 
 
-@dataclass(frozen=True)
-class SignedCanonicalGraph:
+class SignedCanonicalGraph(_Frozen):
     """Canonical representative, the sign linking a presentation to it, and
     whether the graph is a zero graph (in which case the sign is moot)."""
 
-    canonical: UnorientedGraph
-    sign: int
-    is_zero: bool
+    __slots__ = ("canonical", "sign", "is_zero")
+
+    def __init__(self, canonical: UnorientedGraph, sign: int, is_zero: bool) -> None:
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "is_zero", is_zero)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.canonical, self.sign, self.is_zero) == (
+            other.canonical, other.sign, other.is_zero,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.canonical, self.sign, self.is_zero))
 
 
 # The largest vertex count accepted.  ``d`` of an edgeless graph this large is

@@ -22,8 +22,8 @@ import itertools
 import math
 import re
 import sys
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
 
 from .complexes import _UNSIGNED_RATIONAL, EDGE_GRAPH, GraphSum, _Sum, _exact
 from .complexes import bracket, differential

@@ -22,13 +22,12 @@ mismatches found: each check writes its line as soon as it finishes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations
 from math import factorial, prod
-from typing import Iterable, Iterator, Union
 
-from .graphs import ParseError, UnorientedGraph, inversion_count, significant_lines
+from .graphs import ParseError, UnorientedGraph, _Frozen, inversion_count, significant_lines
 from .graphs import _integer, _least_labeling
 from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
@@ -68,8 +67,7 @@ class SkewSymmetryError(OrgraphError):
     """A sum fails the sink-swap pairing contract ("skew-symmetry violated")."""
 
 
-@dataclass(frozen=True)
-class Orgraph:
+class Orgraph(_Frozen):
     """Directed graph of two-arrow vertices over labeled sinks.
 
     Sinks carry labels ``0..sink_count-1``; internal vertex ``i`` (0-based
@@ -78,8 +76,19 @@ class Orgraph:
     one vertex negates the orgraph.
     """
 
-    sink_count: int
-    targets: tuple[tuple[int, int], ...]
+    __slots__ = ("sink_count", "targets")
+
+    def __init__(self, sink_count: int, targets: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "sink_count", sink_count)
+        object.__setattr__(self, "targets", targets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sink_count, self.targets) == (other.sink_count, other.targets)
+
+    def __hash__(self) -> int:
+        return hash((self.sink_count, self.targets))
 
     @property
     def internal_count(self) -> int:
@@ -155,17 +164,31 @@ def sink_swap(g: Orgraph) -> Orgraph:
     )
 
 
-@dataclass(frozen=True)
-class NormalizedOrgraph:
+class NormalizedOrgraph(_Frozen):
     """Canonical encoding, the sign linking the input presentation to it,
     whether the orgraph is zero, and the internal-vertex order realizing the
     canonical encoding (``order[k]`` = input position of the vertex that
     received canonical label ``sink_count + k``)."""
 
-    orgraph: Orgraph
-    sign: int
-    is_zero: bool
-    order: tuple[int, ...]
+    __slots__ = ("orgraph", "sign", "is_zero", "order")
+
+    def __init__(
+        self, orgraph: Orgraph, sign: int, is_zero: bool, order: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "orgraph", orgraph)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "is_zero", is_zero)
+        object.__setattr__(self, "order", order)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.orgraph, self.sign, self.is_zero, self.order) == (
+            other.orgraph, other.sign, other.is_zero, other.order,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.orgraph, self.sign, self.is_zero, self.order))
 
 
 _NORMALIZE_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], NormalizedOrgraph] = {}
@@ -210,8 +233,7 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     return result
 
 
-@dataclass(frozen=True)
-class OrientationWitness:
+class OrientationWitness(_Frozen):
     """One admissible orientation of a graph, with sinks attached.
 
     ``mask`` directs body edge ``i`` from its smaller endpoint when bit ``i``
@@ -220,13 +242,32 @@ class OrientationWitness:
     order gives sink label ``k`` the id ``k`` and body edge ``i`` the id
     ``sink_count + i``; every vertex emits exactly two items.  A witness
     computes its out-items once, and :meth:`items`, :meth:`readout` and
-    :meth:`orgraph` read them from there.
+    :meth:`orgraph` read them from there; the ``__dict__`` slot holds them.
     """
 
-    graph: UnorientedGraph
-    sink_count: int
-    mask: int
-    sinks: tuple[tuple[int, ...], ...]
+    __slots__ = ("graph", "sink_count", "mask", "sinks", "__dict__")
+
+    def __init__(
+        self,
+        graph: UnorientedGraph,
+        sink_count: int,
+        mask: int,
+        sinks: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "sink_count", sink_count)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "sinks", sinks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.sink_count, self.mask, self.sinks) == (
+            other.graph, other.sink_count, other.mask, other.sinks,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.sink_count, self.mask, self.sinks))
 
     @cached_property
     def _arrows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -362,7 +403,7 @@ class OrgraphSum(_Sum):
         return None if norm.is_zero else (norm.orgraph, norm.sign)
 
 
-def orient(x: Union[UnorientedGraph, GraphSum]) -> OrgraphSum:
+def orient(x: UnorientedGraph | GraphSum) -> OrgraphSum:
     """The orientation morphism: signed multiplicities of normalized orgraphs.
 
     Each witness contributes its permutation-parity sign times the sign of
@@ -539,17 +580,30 @@ def _counted(n: int, one: str, many: str) -> str:
     return f"{n} {one if n == 1 else many}"
 
 
-@dataclass
 class RulesReport:
     """Outcome of checking the sign rules against permutation parities.
 
     ``lines`` holds the report's lines in print order, each written as soon
     as its check finished; ``mismatches`` holds the failures, in the order
-    the checks ran.
+    the checks ran.  Both start as new empty lists.  Reports compare by
+    value and, being mutable, are not hashable.
     """
 
-    lines: list[str] = field(default_factory=list)
-    mismatches: list[str] = field(default_factory=list)
+    __slots__ = ("lines", "mismatches")
+
+    def __init__(
+        self, lines: list[str] | None = None, mismatches: list[str] | None = None
+    ) -> None:
+        self.lines = [] if lines is None else lines
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lines, self.mismatches) == (other.lines, other.mismatches)
+
+    def __repr__(self) -> str:
+        return f"RulesReport(lines={self.lines!r}, mismatches={self.mismatches!r})"
 
     @property
     def consistent(self) -> bool:

@@ -36,12 +36,18 @@ The witness enumeration is the loop that tested every edge mask from the
 first edge on, kept unchanged from ``gckit.orient`` apart from importing
 ``factorial`` and ``prod`` through ``math``.
 
+The six value classes are kept as the dataclasses they were declared as,
+with their fields and their own ``repr`` methods; the methods that only
+read the fields are left out.  Each sets ``__qualname__`` to the name of the
+gckit class it twins, since the generated ``repr`` prints that name.
+
 The tests compare the fast code with these on random inputs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence, Union
@@ -75,6 +81,7 @@ from gckit.orient import (
     SkewSymmetryError,
     _directed,
     _label_distributions,
+    encode_compact,
     normalize_orgraph as fast_normalize_orgraph,
     shape,
     sink_swap,
@@ -669,3 +676,63 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
             for assignment in _label_distributions(labels, deficits):
                 witnesses.append(OrientationWitness(g, s, mask, assignment))
     return witnesses
+
+
+@dataclass(frozen=True)
+class DataclassUnorientedGraph:
+    __qualname__ = "UnorientedGraph"
+
+    vertex_count: int
+    edges: tuple[Edge, ...]
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{u}-{v}" for u, v in self.edges)
+        return f"UnorientedGraph({self.vertex_count}; {pairs})"
+
+
+@dataclass(frozen=True)
+class DataclassSignedCanonicalGraph:
+    __qualname__ = "SignedCanonicalGraph"
+
+    canonical: UnorientedGraph
+    sign: int
+    is_zero: bool
+
+
+@dataclass(frozen=True)
+class DataclassOrgraph:
+    __qualname__ = "Orgraph"
+
+    sink_count: int
+    targets: tuple[tuple[int, int], ...]
+
+    def __repr__(self) -> str:
+        return f"Orgraph[{self.sink_count}]{encode_compact(self)}"
+
+
+@dataclass(frozen=True)
+class DataclassNormalizedOrgraph:
+    __qualname__ = "NormalizedOrgraph"
+
+    orgraph: Orgraph
+    sign: int
+    is_zero: bool
+    order: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class DataclassOrientationWitness:
+    __qualname__ = "OrientationWitness"
+
+    graph: UnorientedGraph
+    sink_count: int
+    mask: int
+    sinks: tuple[tuple[int, ...], ...]
+
+
+@dataclass
+class DataclassRulesReport:
+    __qualname__ = "RulesReport"
+
+    lines: list[str] = field(default_factory=list)
+    mismatches: list[str] = field(default_factory=list)

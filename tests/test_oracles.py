@@ -29,6 +29,9 @@ The two-loop elementary moves are compared, order included, with the one
 trade on every witness of the rules-check corpus, and the fold that could
 keep either member of a Pi pair with the fold that keeps the first, on the
 two-sink graphs there and on randomly perturbed orientations.
+The six value classes are compared with their dataclass twins on random
+fields: construction by position and by keyword, ``repr``, ``==``, ``hash``
+and, for the five frozen ones, that a field cannot be assigned or deleted.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ import gckit.multivectors as mv
 import oracles
 from gckit import (
     Multivector,
+    NormalizedOrgraph,
+    Orgraph,
+    RulesReport,
+    SignedCanonicalGraph,
+    UnorientedGraph,
     automorphisms,
     canonicalize,
     new_graph,
@@ -487,3 +495,97 @@ def test_enumerate_orientations_matches_oracle(g):
     witnesses = enumerate_orientations(g)
     assert witnesses == oracles.enumerate_orientations(g)
     assert witnesses == sorted(witnesses, key=OrientationWitness.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# Value classes
+
+
+def _pairs(top):
+    return st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=3).map(tuple)
+
+
+# Small domains, so that two draws are often equal in some field.
+_GRAPHS = st.builds(UnorientedGraph, st.integers(1, 3), _pairs(3))
+_SIGNS = st.sampled_from([1, -1])
+VALUE_CLASSES = {
+    UnorientedGraph: (
+        oracles.DataclassUnorientedGraph,
+        {"vertex_count": st.integers(1, 3), "edges": _pairs(3)},
+    ),
+    SignedCanonicalGraph: (
+        oracles.DataclassSignedCanonicalGraph,
+        {"canonical": _GRAPHS, "sign": _SIGNS, "is_zero": st.booleans()},
+    ),
+    Orgraph: (
+        oracles.DataclassOrgraph,
+        {"sink_count": st.integers(0, 2), "targets": _pairs(4)},
+    ),
+    NormalizedOrgraph: (
+        oracles.DataclassNormalizedOrgraph,
+        {
+            "orgraph": st.builds(Orgraph, st.integers(0, 2), _pairs(4)),
+            "sign": _SIGNS,
+            "is_zero": st.booleans(),
+            "order": st.permutations(range(2)).map(tuple),
+        },
+    ),
+    OrientationWitness: (
+        oracles.DataclassOrientationWitness,
+        {
+            "graph": _GRAPHS,
+            "sink_count": st.integers(0, 2),
+            "mask": st.integers(0, 3),
+            "sinks": st.lists(st.sampled_from([(), (0,), (0, 1)]), max_size=2).map(tuple),
+        },
+    ),
+    RulesReport: (
+        oracles.DataclassRulesReport,
+        {
+            "lines": st.lists(st.sampled_from(["a", "b: OK"]), max_size=2),
+            "mismatches": st.lists(st.sampled_from(["c", "d'"]), max_size=2),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_value_class_matches_its_dataclass_twin(cls, data):
+    """Built from the same fields, by position and by keyword, a value and
+    its twin print the same ``repr`` and hash alike, and a field change
+    breaks equality in both or in neither.  Neither compares equal to the
+    other class, and only the report can be assigned to."""
+    twin, strategies = VALUE_CLASSES[cls]
+    fields = data.draw(st.fixed_dictionaries(strategies))
+    others = data.draw(st.fixed_dictionaries(strategies))
+    args = [fields[name] for name in strategies]
+    frozen = twin.__hash__ is not None
+    for value, ref in ((cls(*args), twin(*args)), (cls(**fields), twin(**fields))):
+        assert repr(value) == repr(ref)
+        assert value == cls(**fields) and not value != cls(**fields)
+        assert value.__eq__(ref) is NotImplemented and ref.__eq__(value) is NotImplemented
+        assert value != ref
+        for name in fields:
+            changed = {**fields, name: others[name]}
+            assert (value == cls(**changed)) == (ref == twin(**changed))
+        if frozen:
+            assert hash(value) == hash(ref) == hash(cls(**fields))
+            for name in [*fields, "other"]:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, others.get(name))
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+            value.lines = others["lines"]
+            assert value.lines is others["lines"]
+
+
+def test_a_new_report_starts_with_its_own_empty_lists():
+    first, second = RulesReport(), RulesReport()
+    assert repr(first) == repr(oracles.DataclassRulesReport())
+    assert first.lines == first.mismatches == []
+    assert first.lines is not second.lines and first.mismatches is not first.lines

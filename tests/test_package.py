@@ -1,7 +1,8 @@
-"""The package namespace re-exports every module's public names, no module
-or test file keeps an unused import, no module keeps an unreferenced
-private helper, and the benchmark's tracer finds every function and cache
-it reads."""
+"""The package namespace re-exports every module's public names, importing
+the command line loads no module that gckit only needs for type hints or
+class declarations, no module or test file keeps an unused import, no
+module keeps an unreferenced private helper, and the benchmark's tracer
+finds every function and cache it reads."""
 
 from __future__ import annotations
 
@@ -69,6 +70,25 @@ def test_the_tracer_reads_both_module_caches(tmp_path):
         "canonical_entries", "canonical_hits", "canonical_misses", "normalize_entries",
     ]
     assert all(isinstance(value, int) for value in counters.values())
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    """Every verb is a fresh process, so what ``import gckit.cli`` loads is
+    paid on each call.  ``-S`` leaves out ``site``, whose ``.pth`` files may
+    import ``typing`` on their own."""
+    probe = (
+        "import gckit.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_orient_is_the_orientation_morphism():
