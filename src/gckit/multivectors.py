@@ -18,7 +18,6 @@ Schouten bracket.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -206,54 +205,7 @@ def jacobiator(p: Multivector) -> Multivector:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic evaluation: edge operators acting on placed multivectors.
-#
-# The computation happens in a product algebra with one copy of the
-# coordinates per graph vertex.  It is a Multivector of dimension n*d: the
-# even generator (copy, alpha) is coordinate copy*d + alpha, and likewise for
-# the odd generators, so products and derivatives there are the ordinary
-# ones.  Placing the arguments is a tensor product: a key concatenates one
-# term of each copy, already normal ordered as later copies have larger odd
-# indices.  Applying all edge operators and restricting to the diagonal
-# returns a multivector on R^d.
-
-
-def _edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
-    """Apply one edge operator coupling vertex copies u and v (0-based).
-
-    It is the sum over alpha of d/dx(head, alpha) d/dxi(tail, alpha) for
-    (tail, head) = (u, v) and (v, u), taken in one pass over the terms: each
-    odd generator of copy u or v is removed with the sign of its position,
-    and the matching even generator of the other copy is differentiated.
-    """
-    out = Multivector(big.dimension)
-    for (xexp, xis), coeff in big._terms.items():
-        for pos, odd in enumerate(xis):
-            copy, alpha = divmod(odd, d)
-            if copy == u:
-                even = v * d + alpha
-            elif copy == v:
-                even = u * d + alpha
-            else:
-                continue
-            power = xexp[even]
-            if not power:
-                continue
-            lowered = xexp[:even] + (power - 1,) + xexp[even + 1:]
-            value = coeff * power
-            out._add((lowered, xis[:pos] + xis[pos + 1:]), -value if pos % 2 else value)
-    return out
-
-
-def _diagonal(big: Multivector, d: int) -> Multivector:
-    """Identify the vertex copies: copy k's generator k*d + alpha becomes alpha."""
-    out = Multivector(d)
-    for (big_x, big_xis), coeff in big._terms.items():
-        ordered = _normal_order([i % d for i in big_xis])
-        if ordered is not None:
-            xexp = tuple(sum(big_x[alpha::d]) for alpha in range(d))
-            out._add((xexp, ordered[0]), coeff * ordered[1])
-    return out
+# Algebraic evaluation of graphs on placed arguments.
 
 
 def _is_odd_argument(mv: Multivector) -> bool:
@@ -322,16 +274,57 @@ def or_evaluate_algebraic(
 def _evaluate_ordered(
     graph: UnorientedGraph, placed_args: Sequence[Multivector], d: int
 ) -> Multivector:
-    """Edge-operator product with placed_args[i] sitting at vertex i+1."""
-    big = Multivector(graph.vertex_count * d)
-    for terms in itertools.product(*(mv._terms.items() for mv in placed_args)):
-        keys, coeffs = zip(*terms)
-        xexp = tuple(itertools.chain.from_iterable(x for x, _ in keys))
-        xis = tuple(copy * d + i for copy, (_, odd) in enumerate(keys) for i in odd)
-        big._add((xexp, xis), math.prod(coeffs))
+    """Edge-operator product with placed_args[i] sitting at vertex i+1.
+
+    Vertex k's coordinate alpha is generator j = k*d + alpha of the product
+    algebra, where a term is two ints: exponent j in the bit field of width
+    w at bit j*w, w the bit length of the largest argument exponent
+    (exponents only fall), and a mask with odd generator j at bit j, whose
+    ascending order is the normal order, so placing costs no sign.  Edge
+    (u, v), first edge first, sums d/dx(head, alpha) d/dxi(tail, alpha) over
+    alpha and (tail, head) = (u, v), (v, u): it clears bit tail*d + alpha,
+    signed by the set bits below it, and lowers field head*d + alpha, times
+    its exponent.  The diagonal adds each alpha's fields and normal-orders
+    each mask mod d once.
+
+    An edge operator lowers xi- plus x-degree by exactly one at both ends,
+    and no exponent goes negative, so argument terms whose sum is below
+    their vertex's degree give zero and are dropped up front.
+    """
+    n = graph.vertex_count
+    degree = [sum(k in e for e in graph.edges) for k in range(1, n + 1)]
+    kept = [[(key, c) for key, c in mv._terms.items() if len(key[1]) + sum(key[0]) >= k]
+            for mv, k in zip(placed_args, degree)]
+    out = Multivector(d)
+    if not all(kept):
+        return out
+    w = max(max(key[0]) for terms in kept for key, _ in terms).bit_length()
+    big = {(0, 0): 1}
+    for copy, terms in enumerate(kept):
+        packed = [(sum(e << (copy * d + a) * w for a, e in enumerate(xexp)),
+                   sum(1 << copy * d + i for i in xis), c) for (xexp, xis), c in terms]
+        big = {(x + y, m | odd): c * b for (x, m), c in big.items() for y, odd, b in packed}
+    field = (1 << w) - 1
     for u, v in graph.edges:
-        big = _edge_operator(big, u - 1, v - 1, d)
-    return _diagonal(big, d)
+        moves = [(1 << t * d + a, (h * d + a) * w) for t, h in ((u - 1, v - 1), (v - 1, u - 1))
+                 for a in range(d)]
+        acted = {}
+        for (x, m), c in big.items():
+            for bit, shift in moves:
+                if m & bit and (power := x >> shift & field):
+                    key = (x - (1 << shift), m ^ bit)
+                    power = -power if (m & bit - 1).bit_count() & 1 else power
+                    acted[key] = acted.get(key, 0) + c * power
+        big = {key: c for key, c in acted.items() if c}
+    orders = {}
+    for (x, m), c in big.items():
+        if m not in orders:
+            orders[m] = _normal_order([j % d for j in range(n * d) if m >> j & 1])
+        if orders[m] is not None:
+            fields = [x >> j * w & field for j in range(n * d)]
+            xis, sign = orders[m]
+            out._add((tuple(sum(fields[a::d]) for a in range(d)), xis), c * sign)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,14 @@ that enumerates every tuple of index pairs before it prunes, the algebraic
 evaluator's placement loop over all ``n!`` permutations, and its placement
 of the arguments by one ``multivector_product`` per vertex followed by a
 range-checked restriction to the diagonal, all kept unchanged from
-``gckit.multivectors``.  So is the Schouten bracket that summed derivative
-products coordinate by coordinate, before it became the single edge's
-operator.
+``gckit.multivectors`` apart from that placement now applying the two-pass
+edge operator.  So is the Schouten bracket that summed derivative products
+coordinate by coordinate, before it became the single edge's operator.  The
+tuple evaluator is the algebraic evaluator that the packed-integer one
+replaced: a tensor product of the placed terms with ``(exponent tuple, odd
+index tuple)`` keys, the one-pass edge operator that slices those tuples,
+and the restriction to the diagonal, kept unchanged from
+``gckit.multivectors`` apart from their names and the ``itertools`` names.
 
 The witness moves are the two-loop ``elementary_moves``, which rebuilds the
 sink lists and the target witness once per kind of move, and the
@@ -49,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterator, Sequence, Union
 
 from gckit.graphs import (
@@ -64,9 +69,9 @@ from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
     MultivectorError,
-    _edge_operator,
     _evaluate_ordered,
     _is_odd_argument,
+    _normal_order,
     multivector_product,
     x_derivative,
     xi_derivative,
@@ -525,8 +530,61 @@ def evaluate_ordered(
     for vertex, mv in enumerate(placed_args):
         big = multivector_product(big, _placed(mv, vertex, n))
     for u, v in graph.edges:
-        big = _edge_operator(big, u - 1, v - 1, d)
+        big = edge_operator(big, u - 1, v - 1, d)
     return _diagonal(big, n, d)
+
+
+def tuple_edge_operator(big: Multivector, u: int, v: int, d: int) -> Multivector:
+    """Apply one edge operator coupling vertex copies u and v (0-based).
+
+    It is the sum over alpha of d/dx(head, alpha) d/dxi(tail, alpha) for
+    (tail, head) = (u, v) and (v, u), taken in one pass over the terms: each
+    odd generator of copy u or v is removed with the sign of its position,
+    and the matching even generator of the other copy is differentiated.
+    """
+    out = Multivector(big.dimension)
+    for (xexp, xis), coeff in big._terms.items():
+        for pos, odd in enumerate(xis):
+            copy, alpha = divmod(odd, d)
+            if copy == u:
+                even = v * d + alpha
+            elif copy == v:
+                even = u * d + alpha
+            else:
+                continue
+            power = xexp[even]
+            if not power:
+                continue
+            lowered = xexp[:even] + (power - 1,) + xexp[even + 1:]
+            value = coeff * power
+            out._add((lowered, xis[:pos] + xis[pos + 1:]), -value if pos % 2 else value)
+    return out
+
+
+def tuple_diagonal(big: Multivector, d: int) -> Multivector:
+    """Identify the vertex copies: copy k's generator k*d + alpha becomes alpha."""
+    out = Multivector(d)
+    for (big_x, big_xis), coeff in big._terms.items():
+        ordered = _normal_order([i % d for i in big_xis])
+        if ordered is not None:
+            xexp = tuple(sum(big_x[alpha::d]) for alpha in range(d))
+            out._add((xexp, ordered[0]), coeff * ordered[1])
+    return out
+
+
+def tuple_evaluate_ordered(
+    graph: UnorientedGraph, placed_args: Sequence[Multivector], d: int
+) -> Multivector:
+    """Edge-operator product with placed_args[i] sitting at vertex i+1."""
+    big = Multivector(graph.vertex_count * d)
+    for terms in product(*(mv._terms.items() for mv in placed_args)):
+        keys, coeffs = zip(*terms)
+        xexp = tuple(chain.from_iterable(x for x, _ in keys))
+        xis = tuple(copy * d + i for copy, (_, odd) in enumerate(keys) for i in odd)
+        big._add((xexp, xis), math.prod(coeffs))
+    for u, v in graph.edges:
+        big = tuple_edge_operator(big, u - 1, v - 1, d)
+    return tuple_diagonal(big, d)
 
 
 def elementary_moves(

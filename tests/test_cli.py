@@ -24,8 +24,8 @@ GOLDEN = ROOT / "tests" / "golden"
 BENCHMARK_GOLDEN = ROOT / "perfbench" / "golden"
 VERBS_GOLDEN = GOLDEN / "verbs"
 RULES_INPUTS = GOLDEN / "rules-check" / "inputs"
-SLOW_COROLLARIES = {("wheel5", "cubic3"), ("companion5", "cubic3")}
-SLOW_EVALS = {("companion5", "cubic3")}
+SLOW_COROLLARIES = {(g, p) for g in ("wheel5", "companion5") for p in ("cubic3", "nambu3")}
+SLOW_EVALS = {("companion5", "cubic3"), ("wheel5", "nambu3"), ("companion5", "nambu3")}
 
 
 def benchmark_cases() -> dict[str, list[str]]:
@@ -46,9 +46,11 @@ def verb_cases() -> dict[str, list[str]]:
     ``fold`` of that graph's ``orient`` golden (``edge`` has 3 sinks, so its
     ``fold`` exits 2; ``path3`` is a zero graph, so its ``orient`` is empty
     and so is its ``fold``).  ``verify-corollary`` per graph and bivector,
-    except ``wheel5`` and ``companion5`` on ``cubic3`` (17-21 s each);
-    ``eval`` of that graph's ``orient`` golden per bivector, except
-    ``companion5`` on ``cubic3`` (4.6 s; ``edge`` gives a 3-sink flow);
+    except ``wheel5`` and ``companion5`` on ``cubic3`` and ``nambu3`` (17-21
+    s each on ``cubic3`` when captured); ``eval`` of that graph's ``orient``
+    golden per bivector, except ``companion5`` on ``cubic3`` (4.6 s) and
+    ``wheel5`` (2.7 s) and ``companion5`` (15.7 s) on ``nambu3`` (``edge``
+    gives a 3-sink flow);
     ``schouten`` per ordered pair of bivectors; and ``kernel`` at (7, 11),
     whose 432 x 70 differential has a 5-dimensional kernel.
     """

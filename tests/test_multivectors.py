@@ -38,7 +38,8 @@ from gckit import (
     xi_derivative,
 )
 import gckit.multivectors as multivector_module
-from gckit.multivectors import _edge_operator
+from gckit.complexes import EDGE_GRAPH
+from gckit.multivectors import _evaluate_ordered
 
 
 def mv(text: str, dim: int) -> Multivector:
@@ -179,7 +180,6 @@ class TestKernelProperties:
         integers = st.integers(-3, 3)
         f = data.draw(multivectors(d, coefficients=integers))
         g = data.draw(multivectors(d, coefficients=integers))
-        big = data.draw(multivectors(2 * d, coefficients=integers))
         index = data.draw(st.integers(0, d - 1))
         half = f * Fraction(1, 2)
         for result in (
@@ -191,7 +191,7 @@ class TestKernelProperties:
             -f,
             Fraction(4, 2) * f,
             half + half,
-            _edge_operator(big, 0, 1, d),
+            _evaluate_ordered(EDGE_GRAPH, [f, g], d),
         ):
             assert all(type(coeff) is int for _, coeff in result.items())
 
@@ -350,6 +350,34 @@ class TestAlgebraicEvaluator:
         placed = [tuple(map(id, call.args[1])) for call in evaluate.call_args_list]
         assert len(placed) == len(set(placed)) == orbits
         assert search.call_count == (orbits > 0 and len(set(pattern)) > 1)
+
+    def test_gamma5_graphs_are_zero_on_so3_before_the_product(
+        self, pentagon_cocycle, so3, tetra, cubic3
+    ):
+        # so3 is linear, so each term's xi-degree plus x-degree is 3, and both
+        # graphs have a vertex of degree 4 or 5: the degree prune leaves that
+        # vertex no terms.  Every tensor-product term multiplies coefficients,
+        # and these coefficients count their products; tetra on cubic3 shows
+        # that the count sees a product that is built.
+        products = []
+
+        class Coefficient(int):
+            def __mul__(self, other):
+                products.append(other)
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        def counted(p):
+            out = Multivector(p.dimension)
+            out._terms = {key: Coefficient(c) for key, c in p._terms.items()}
+            return out
+
+        for graph, _ in pentagon_cocycle.items():
+            assert not _evaluate_ordered(graph, [counted(so3)] * 6, 3)
+        assert products == []
+        assert _evaluate_ordered(tetra, [counted(cubic3)] * 4, 3)
+        assert products
 
 
 class TestOrgraphEvaluator:

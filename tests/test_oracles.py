@@ -282,11 +282,14 @@ def flow_orgraphs(draw):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_edge_operator_matches_oracle(data):
+    # One edge between two of two or three placed arguments: the packed edge
+    # operator of ``_evaluate_ordered`` against the two-pass one.
     d = data.draw(st.integers(1, 3))
     copies = data.draw(st.integers(2, 3))
-    big = data.draw(multivectors(copies * d, max_degree=3))
-    u, v = data.draw(st.permutations(range(copies)))[:2]
-    assert mv._edge_operator(big, u, v, d) == oracles.edge_operator(big, u, v, d)
+    args = [data.draw(multivectors(d, max_degree=3)) for _ in range(copies)]
+    u, v = data.draw(st.permutations(range(1, copies + 1)))[:2]
+    graph = new_graph(copies, [(u, v)])
+    assert mv._evaluate_ordered(graph, args, d) == oracles.evaluate_ordered(graph, args, d)
 
 
 @given(data=st.data())
@@ -310,8 +313,46 @@ def test_algebraic_evaluator_matches_oracle_edge_operator(data):
     args = [data.draw(multivectors(d))]
     args += [data.draw(multivectors(d, data.draw(st.sampled_from(even)))) for _ in range(n - 1)]
     fast = or_evaluate_algebraic(graph, args)
-    with mock.patch.object(mv, "_edge_operator", oracles.edge_operator):
+    with mock.patch.object(mv, "_evaluate_ordered", oracles.evaluate_ordered):
         assert fast == or_evaluate_algebraic(graph, args)
+
+
+# 1, 2^k - 1 and 2^k: the largest exponent sets the field width, and the
+# field is then full, or holds a single bit that lowering borrows from.
+FIELD_EDGES = [1, 3, 4, 7, 8]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_evaluator_matches_the_tuple_evaluator(data):
+    # Graphs with up to five vertices, their edges in random order.  Half of
+    # the terms have xi-degree plus x-degree equal to their vertex's degree
+    # or one less, on either side of the degree prune; the others have
+    # exponents at the edges of a field width.  One argument is odd, with
+    # non-integral coefficients.
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = new_graph(n, data.draw(st.permutations(list(itertools.compress(pairs, keep)))))
+    odd_vertex = data.draw(st.integers(0, n - 1))
+    args = []
+    for k in range(n):
+        parity = k == odd_vertex
+        degree = sum(k + 1 in edge for edge in graph.edges)
+        out = Multivector(d)
+        for _ in range(data.draw(st.integers(1, 3))):
+            q = data.draw(st.sampled_from([q for q in range(d + 1) if q % 2 == parity]))
+            if data.draw(st.booleans()):
+                total = max(degree - data.draw(st.integers(0, 1)) - q, 0)
+                cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=d - 1, max_size=d - 1)))
+                xexp = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            else:
+                xexp = data.draw(st.lists(st.sampled_from([0, *FIELD_EDGES]), min_size=d, max_size=d))
+            xis = data.draw(st.permutations(range(d)))[:q]
+            out.add((xexp, xis), data.draw(NON_INTEGRAL if parity else st.integers(-3, 3)))
+        args.append(out)
+    assert mv._evaluate_ordered(graph, args, d) == oracles.tuple_evaluate_ordered(graph, args, d)
 
 
 @given(data=st.data())
