@@ -46,11 +46,11 @@ def verb_cases() -> dict[str, list[str]]:
     ``fold`` of that graph's ``orient`` golden (``edge`` has 3 sinks, so its
     ``fold`` exits 2; ``path3`` is a zero graph, so its ``orient`` is empty
     and so is its ``fold``).  ``verify-corollary`` per graph and bivector,
-    except ``wheel5`` and ``companion5`` on ``cubic3`` and ``nambu3`` (17-21
-    s each on ``cubic3`` when captured); ``eval`` of that graph's ``orient``
-    golden per bivector, except ``companion5`` on ``cubic3`` (4.6 s) and
-    ``wheel5`` (2.7 s) and ``companion5`` (15.7 s) on ``nambu3`` (``edge``
-    gives a 3-sink flow);
+    except ``wheel5`` and ``companion5`` on ``cubic3`` and ``nambu3``, which
+    take 10-20 s each; ``eval`` of that graph's ``orient`` golden per
+    bivector, except ``companion5`` on ``cubic3`` (4.6 s) and ``wheel5``
+    (2.7 s) and ``companion5`` (15.7 s) on ``nambu3`` (``edge`` gives a
+    3-sink flow);
     ``schouten`` per ordered pair of bivectors; and ``kernel`` at (7, 11),
     whose 432 x 70 differential has a 5-dimensional kernel.
     """

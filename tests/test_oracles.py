@@ -345,10 +345,12 @@ def test_packed_evaluator_matches_the_tuple_evaluator(data):
             q = data.draw(st.sampled_from([q for q in range(d + 1) if q % 2 == parity]))
             if data.draw(st.booleans()):
                 total = max(degree - data.draw(st.integers(0, 1)) - q, 0)
-                cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=d - 1, max_size=d - 1)))
-                xexp = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+                cuts = st.lists(st.integers(0, total), min_size=d - 1, max_size=d - 1)
+                bounds = [0, *sorted(data.draw(cuts)), total]
+                xexp = [b - a for a, b in zip(bounds, bounds[1:])]
             else:
-                xexp = data.draw(st.lists(st.sampled_from([0, *FIELD_EDGES]), min_size=d, max_size=d))
+                wide = st.lists(st.sampled_from([0, *FIELD_EDGES]), min_size=d, max_size=d)
+                xexp = data.draw(wide)
             xis = data.draw(st.permutations(range(d)))[:q]
             out.add((xexp, xis), data.draw(NON_INTEGRAL if parity else st.integers(-3, 3)))
         args.append(out)
