@@ -9,7 +9,11 @@ taking the reference order (sinks first, then body edges) to the
 vertex-by-vertex reading of the witness, whose out-items each witness
 computes once, in one pass over the edges.  Witnesses accumulate onto
 normalized :class:`Orgraph` encodings, giving the signed multiplicities of
-the orientation morphism.  They are held in an :class:`OrgraphSum`, which is
+the orientation morphism.  A graph automorphism maps witnesses to witnesses
+of the same normalized class, with contributions related by its edge sign,
+so :func:`orient` returns zero at once for a graph with an odd automorphism
+and otherwise normalizes one witness per orbit, weighted by the orbit's
+size.  The multiplicities are held in an :class:`OrgraphSum`, which is
 :class:`gckit.complexes.GraphSum` with :func:`normalize_orgraph` in place of
 ``canonicalize``: both are thin subclasses of one linear-combination base,
 as ``Multivector`` is, and ``reduce`` lives on that base.
@@ -28,7 +32,7 @@ from itertools import combinations
 from math import factorial, prod
 
 from .graphs import ParseError, UnorientedGraph, _Frozen, inversion_count, significant_lines
-from .graphs import _integer, _least_labeling
+from .graphs import _integer, _least_labeling, automorphisms
 from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
 __all__ = [
@@ -403,20 +407,80 @@ class OrgraphSum(_Sum):
         return None if norm.is_zero else (norm.orgraph, norm.sign)
 
 
+def _orbits(
+    g: UnorientedGraph,
+    witnesses: list[OrientationWitness],
+    group: list[tuple[tuple[int, ...], int]],
+) -> Iterator[tuple[OrientationWitness, int]]:
+    """The first witness of each orbit of ``group`` on ``witnesses``, and the
+    orbit's size.
+
+    ``group`` lists ``(images, sign)`` as :func:`gckit.graphs.automorphisms`
+    does, and being a group, gives each orbit from any one of its witnesses.
+    An automorphism sends each directed edge's tail and head through
+    ``images``: bit ``j`` of the image mask is set when the image tail is the
+    second endpoint of the image edge ``j``, and ``sinks[v-1]`` moves to the
+    image vertex.
+    """
+    index = {edge: j for j, edge in enumerate(g.edges)}
+    moves = []
+    for images, _ in group:
+        flips, bits = 0, []
+        for i, (u, v) in enumerate(g.edges):
+            edge = (images[u - 1], images[v - 1])
+            if edge not in index:
+                edge = edge[::-1]
+                flips |= 1 << i
+            bits.append(1 << index[edge])
+        source = [0] * g.vertex_count
+        for v, image in enumerate(images):
+            source[image - 1] = v
+        moves.append((flips, bits, source))
+    seen: set[tuple[int, tuple[tuple[int, ...], ...]]] = set()
+    for w in witnesses:
+        if (w.mask, w.sinks) in seen:
+            continue
+        orbit = {
+            (
+                sum(bit for i, bit in enumerate(bits) if (w.mask ^ flips) >> i & 1),
+                tuple(w.sinks[v] for v in source),
+            )
+            for flips, bits, source in moves
+        }
+        seen |= orbit
+        yield w, len(orbit)
+
+
 def orient(x: UnorientedGraph | GraphSum) -> OrgraphSum:
     """The orientation morphism: signed multiplicities of normalized orgraphs.
 
     Each witness contributes its permutation-parity sign times the sign of
     normalizing its orgraph; contributions accumulate per normalized
     encoding, and zero orgraphs are dropped.  Extended linearly to sums.
+
+    The witnesses are enumerated first, so the witness bound fires before
+    anything else, and a graph without witnesses is not searched for
+    automorphisms.  An automorphism of the graph maps each witness to one
+    with the same normalized class and its contribution times the
+    automorphism's edge sign.  So a graph with an odd automorphism is zero
+    and orients to the empty sum, its witnesses cancelling class by class;
+    otherwise each automorphism orbit of witnesses contributes its first
+    witness's term times the orbit's size, and one witness per orbit is
+    normalized.
     """
     total = OrgraphSum()
     if isinstance(x, GraphSum):
         for g, c in x.items():
             total._add_sum(orient(g), c)
         return total
-    for w in enumerate_orientations(x):
-        total.add(w.orgraph(), orientation_sign(w))
+    witnesses = enumerate_orientations(x)
+    if not witnesses:
+        return total
+    group = automorphisms(x)
+    if any(sign < 0 for _, sign in group):
+        return total
+    for w, size in _orbits(x, witnesses, group):
+        total.add(w.orgraph(), size * orientation_sign(w))
     return total
 
 
@@ -666,6 +730,11 @@ def crosscheck_rules(g: UnorientedGraph) -> RulesReport:
     The checks run in the order the report prints them -- class
     consistency, sink swap, class pairing, moves, chains -- and each writes
     its line as soon as it finishes.
+
+    Unlike :func:`orient`, it normalizes every witness rather than one per
+    automorphism orbit: class consistency checks the sign law that the
+    orbit argument relies on, and the moves and chains run between
+    individual witnesses.
     """
     report = RulesReport()
     lines, mismatches = report.lines, report.mismatches

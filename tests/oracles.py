@@ -39,7 +39,10 @@ partner in place of the term, both kept unchanged from ``gckit.orient``
 apart from the name under which the fold imports ``normalize_orgraph``.
 The witness enumeration is the loop that tested every edge mask from the
 first edge on, kept unchanged from ``gckit.orient`` apart from importing
-``factorial`` and ``prod`` through ``math``.
+``factorial`` and ``prod`` through ``math``.  The orientation morphism is
+the ``orient`` that normalized every witness's orgraph, before it
+normalized one witness per automorphism orbit, kept unchanged from
+``gckit.orient``; it enumerates through the mask loop above.
 
 The six value classes are kept as the dataclasses they were declared as,
 with their fields and their own ``repr`` methods; the methods that only
@@ -88,6 +91,7 @@ from gckit.orient import (
     _label_distributions,
     encode_compact,
     normalize_orgraph as fast_normalize_orgraph,
+    orientation_sign,
     shape,
     sink_swap,
 )
@@ -734,6 +738,23 @@ def enumerate_orientations(g: UnorientedGraph) -> list[OrientationWitness]:
             for assignment in _label_distributions(labels, deficits):
                 witnesses.append(OrientationWitness(g, s, mask, assignment))
     return witnesses
+
+
+def orient(x: UnorientedGraph | GraphSum) -> OrgraphSum:
+    """The orientation morphism: signed multiplicities of normalized orgraphs.
+
+    Each witness contributes its permutation-parity sign times the sign of
+    normalizing its orgraph; contributions accumulate per normalized
+    encoding, and zero orgraphs are dropped.  Extended linearly to sums.
+    """
+    total = OrgraphSum()
+    if isinstance(x, GraphSum):
+        for g, c in x.items():
+            total._add_sum(orient(g), c)
+        return total
+    for w in enumerate_orientations(x):
+        total.add(w.orgraph(), orientation_sign(w))
+    return total
 
 
 @dataclass(frozen=True)

@@ -577,6 +577,14 @@ class TestOnShell:
         assert or_evaluate_algebraic(tetra, [p] * 4) == evaluate_orgraph(orient(tetra), p)
         assert verify_corollary(tetra, p)
 
+    def test_the_algebraic_flow_matches_the_eval_golden(self, tetra, data_dir):
+        # `eval` prints the direct evaluator's value; `verify-corollary` prints
+        # only a verdict.  This pins the algebraic evaluator's 22 terms.
+        p = parse_poisson((data_dir / "nambu3.poisson").read_text(encoding="utf-8"))
+        golden = data_dir.parent / "tests" / "golden" / "verbs" / "eval-tetra-nambu3.out"
+        flow = multivector_module._flow(GraphSum([(tetra, 1)]), p)
+        assert format_poisson(flow) == golden.read_text(encoding="utf-8")
+
 
 # ---------------------------------------------------------------------------
 # Text format

@@ -25,6 +25,11 @@ repeated products, compared with the one tensor product on the same graphs.
 The per-coordinate Schouten bracket is compared with the single edge's
 operator on random multivectors with at most four coordinates: odd and
 even, inhomogeneous and zero ones.
+The ``orient`` that normalized every witness is compared, byte for byte,
+with the one that normalizes one witness per automorphism orbit, on random
+graphs with at most six vertices and four sinks (zero graphs and isolated
+vertices included) and on every graph of the rules-check corpus, ``data/``
+and the heptagon wheel.
 The two-loop elementary moves are compared, order included, with the one
 trade on every witness of the rules-check corpus, and the fold that could
 keep either member of a Pi pair with the fold that keeps the first, on the
@@ -43,7 +48,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gckit.complexes as complexes
@@ -72,6 +77,7 @@ from gckit.orient import (
     elementary_moves,
     enumerate_orientations,
     fold_sink_swap,
+    format_orgraph_sum,
 )
 from test_multivectors import COEFFICIENTS, multivectors
 
@@ -538,6 +544,31 @@ def test_enumerate_orientations_matches_oracle(g):
     witnesses = enumerate_orientations(g)
     assert witnesses == oracles.enumerate_orientations(g)
     assert witnesses == sorted(witnesses, key=OrientationWitness.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# The orientation morphism
+
+
+@given(g=few_sink_graphs())
+@example(g=new_graph(6, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]))
+@example(g=new_graph(5, [(4, 3), (1, 2), (3, 1), (2, 4), (4, 1), (3, 2)]))
+@example(g=new_graph(4, [(3, 2), (2, 1)]))
+@example(g=new_graph(4, [(2, 1)]))
+@settings(max_examples=40, deadline=None)
+def test_orient_matches_the_all_witness_oracle(g):
+    """One normalized witness per automorphism orbit, weighted by the
+    orbit's size, gives every witness's sum, zero graphs included.  The
+    examples: K5 and an isolated vertex (zero), K4 and an isolated vertex,
+    the path on three vertices and an isolated one (zero), and an edge and
+    two isolated vertices, whose orbits are of size 1, 2 and 4."""
+    assert format_orgraph_sum(orient(g)) == format_orgraph_sum(oracles.orient(g))
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_GRAPHS))
+def test_orient_matches_the_all_witness_oracle_on_the_corpus(name):
+    g = MOVE_GRAPHS[name]
+    assert format_orgraph_sum(orient(g)) == format_orgraph_sum(oracles.orient(g))
 
 
 # ---------------------------------------------------------------------------

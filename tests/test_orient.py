@@ -37,7 +37,7 @@ from gckit import (
     shape,
     sink_swap,
 )
-from test_oracles import orgraphs
+from test_oracles import MOVE_GRAPHS, orgraphs
 
 TETRA_FLOW_RAW = """\
 8 * o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3
@@ -53,6 +53,8 @@ EDGE_FLOW = """\
 -2 * o 2 3 : 0 1 ; 2 3
 2 * o 2 3 : 0 2 ; 1 3
 -2 * o 2 3 : 0 4 ; 1 2"""
+
+K5 = new_graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
 
 TETRA_RULES_REPORT = """\
 witnesses: 56 (Lambda 8, Pi 48)
@@ -222,6 +224,26 @@ class TestOrientationMorphism:
     def test_input_presentation_does_not_matter(self, tetra):
         relabeled = new_graph(4, [(3, 4), (2, 4), (1, 4), (2, 3), (1, 3), (1, 2)])
         assert orient(relabeled) == orient(tetra)
+
+    @pytest.mark.parametrize(
+        "name, normalizations",
+        [("tetra", 3), ("wheel5", 27), ("companion5", 140), ("wheel7", 58), ("path3", 0), ("K5", 0)],
+    )
+    def test_one_normalization_per_witness_orbit(self, name, normalizations):
+        # Witnesses to orbits: 56 -> 3, 262 -> 27, 280 -> 140 and 800 -> 58.
+        # path3 and K5 have odd automorphisms, so nothing is normalized.
+        g = K5 if name == "K5" else MOVE_GRAPHS[name]
+        orient_module = importlib.import_module("gckit.orient")
+        with mock.patch.dict(orient_module._NORMALIZE_CACHE, clear=True):
+            orient(g)
+            assert len(orient_module._NORMALIZE_CACHE) == normalizations
+
+    def test_the_witness_bound_fires_before_the_zero_exit(self):
+        # K1,3 is zero (swapping two leaves swaps two edges), and its four
+        # isolated vertices give it 13 sinks and 1,070,269,200 witnesses.
+        star = new_graph(8, [(1, 2), (1, 3), (1, 4)])
+        with pytest.raises(OrgraphError, match="^orientation witnesses above the maximum 200000$"):
+            orient(star)
 
 
 class TestOrgraphSum:
