@@ -22,7 +22,7 @@ rows exceed the best found, so every least labeling and parity is found;
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
 
@@ -361,6 +361,37 @@ def automorphisms(g: UnorientedGraph) -> list[tuple[tuple[int, ...], int]]:
         images = tuple(vertex_of[found[0][v]] for v in label)
         result.append((images, sign * signs[0]))
     return sorted(result)
+
+
+def _orbits(
+    g: UnorientedGraph,
+    points: Sequence[Hashable],
+    image: Callable[[tuple[int, ...]], Callable[[Hashable], Hashable]],
+) -> list[tuple[Hashable, int]]:
+    """The first point of each automorphism orbit on ``points``, weighted by
+    the orbit's size: the one symmetry rule of ``Or(γ)(P)``.
+
+    An automorphism of ``g`` maps points (the witnesses of ``orient``, the
+    arrangements of ``or_evaluate_algebraic``) to points, and multiplies each
+    contribution by the sign it induces on the edges.  So a zero graph, read
+    from the cached :func:`canonicalize`, gives ``[]``, and otherwise the
+    weighted representatives give the whole sum.  ``image(images)`` builds
+    the map on points of each of the :func:`automorphisms` once.  No points
+    need no search at all, and one point no automorphisms.
+    """
+    if not points or canonicalize(g).is_zero:
+        return []
+    if len(points) == 1:
+        return [(points[0], 1)]
+    maps = [image(images) for images, _ in automorphisms(g)]
+    seen: set[Hashable] = set()
+    result = []
+    for point in points:
+        if point not in seen:
+            orbit = {move(point) for move in maps}
+            seen |= orbit
+            result.append((point, len(orbit)))
+    return result
 
 
 def is_connected(g: UnorientedGraph) -> bool:

@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from .complexes import _UNSIGNED_RATIONAL, EDGE_GRAPH, GraphSum, _Sum, _exact
 from .complexes import bracket, differential
-from .graphs import ParseError, UnorientedGraph, automorphisms, canonicalize, inversion_count
-from .graphs import significant_lines
+from .graphs import ParseError, UnorientedGraph, _orbits, inversion_count, significant_lines
 from .orient import Orgraph, OrgraphSum, _arrows_into
 
 __all__ = [
@@ -240,11 +239,9 @@ def or_evaluate_algebraic(
     to another and reorders the edges by a permutation σ_E.  Moving even
     arguments, or one odd one past even ones, costs no sign, and the edge
     operators are odd, so they anticommute: the two values differ by
-    ``sign(σ_E)``.  If some σ_E is odd, the graph is a zero graph, the
-    placements cancel in pairs and the average is zero.  Otherwise the value
-    is constant on each orbit of the automorphism group, and one arrangement
-    per orbit is evaluated, weighted by the orbit's size; a single
-    arrangement is its own orbit, and the group is not searched.
+    ``sign(σ_E)``.  So :func:`gckit.graphs._orbits` applies the symmetry
+    rule: a zero graph averages to zero, and otherwise one arrangement per
+    orbit is evaluated, weighted by the orbit's size.
     """
     n = graph.vertex_count
     if len(args) != n:
@@ -257,17 +254,11 @@ def or_evaluate_algebraic(
     labels = [next(j for j, b in enumerate(args) if a == b) for a in args]
     arrangements = list(_arrangements(labels))
     total = Multivector(d)
-    if canonicalize(graph).is_zero:
-        return total
-    group = automorphisms(graph) if len(arrangements) > 1 else []
-    seen: set[tuple[int, ...]] = set()
-    for arrangement in arrangements:
-        if arrangement in seen:
-            continue
-        orbit = {arrangement, *(tuple(arrangement[v - 1] for v in images) for images, _ in group)}
-        seen |= orbit
+    for arrangement, size in _orbits(
+        graph, arrangements, lambda images: lambda a: tuple(a[v - 1] for v in images)
+    ):
         placed = [args[j] for j in arrangement]
-        total._add_sum(_evaluate_ordered(graph, placed, d), len(orbit))
+        total._add_sum(_evaluate_ordered(graph, placed, d), size)
     return total * Fraction(1, len(arrangements))
 
 

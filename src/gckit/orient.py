@@ -9,11 +9,9 @@ taking the reference order (sinks first, then body edges) to the
 vertex-by-vertex reading of the witness, whose out-items each witness
 computes once, in one pass over the edges.  Witnesses accumulate onto
 normalized :class:`Orgraph` encodings, giving the signed multiplicities of
-the orientation morphism.  A graph automorphism maps witnesses to witnesses
-of the same normalized class, with contributions related by its edge sign,
-so :func:`orient` returns zero at once for a graph with an odd automorphism
-and otherwise normalizes one witness per orbit, weighted by the orbit's
-size.  The multiplicities are held in an :class:`OrgraphSum`, which is
+the orientation morphism; :func:`orient` normalizes one witness per
+automorphism orbit, by the symmetry rule of :func:`gckit.graphs._orbits`.
+The multiplicities are held in an :class:`OrgraphSum`, which is
 :class:`gckit.complexes.GraphSum` with :func:`normalize_orgraph` in place of
 ``canonicalize``: both are thin subclasses of one linear-combination base,
 as ``Multivector`` is, and ``reduce`` lives on that base.
@@ -26,13 +24,13 @@ mismatches found: each check writes its line as soon as it finishes.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import combinations
 from math import factorial, prod
 
 from .graphs import ParseError, UnorientedGraph, _Frozen, inversion_count, significant_lines
-from .graphs import _integer, _least_labeling, automorphisms
+from .graphs import _integer, _least_labeling, _orbits
 from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
 __all__ = [
@@ -407,24 +405,16 @@ class OrgraphSum(_Sum):
         return None if norm.is_zero else (norm.orgraph, norm.sign)
 
 
-def _orbits(
-    g: UnorientedGraph,
-    witnesses: list[OrientationWitness],
-    group: list[tuple[tuple[int, ...], int]],
-) -> Iterator[tuple[OrientationWitness, int]]:
-    """The first witness of each orbit of ``group`` on ``witnesses``, and the
-    orbit's size.
+def _witness_image(g: UnorientedGraph) -> Callable:
+    """The map on ``(mask, sinks)`` witness points of each automorphism ``images``.
 
-    ``group`` lists ``(images, sign)`` as :func:`gckit.graphs.automorphisms`
-    does, and being a group, gives each orbit from any one of its witnesses.
-    An automorphism sends each directed edge's tail and head through
-    ``images``: bit ``j`` of the image mask is set when the image tail is the
-    second endpoint of the image edge ``j``, and ``sinks[v-1]`` moves to the
-    image vertex.
+    Bit ``j`` of the image mask is set when the image of edge ``i``'s tail is
+    the second endpoint of the image edge ``j``, and ``sinks[v-1]`` moves to
+    the image vertex.
     """
     index = {edge: j for j, edge in enumerate(g.edges)}
-    moves = []
-    for images, _ in group:
+
+    def image(images: tuple[int, ...]) -> Callable:
         flips, bits = 0, []
         for i, (u, v) in enumerate(g.edges):
             edge = (images[u - 1], images[v - 1])
@@ -433,22 +423,14 @@ def _orbits(
                 flips |= 1 << i
             bits.append(1 << index[edge])
         source = [0] * g.vertex_count
-        for v, image in enumerate(images):
-            source[image - 1] = v
-        moves.append((flips, bits, source))
-    seen: set[tuple[int, tuple[tuple[int, ...], ...]]] = set()
-    for w in witnesses:
-        if (w.mask, w.sinks) in seen:
-            continue
-        orbit = {
-            (
-                sum(bit for i, bit in enumerate(bits) if (w.mask ^ flips) >> i & 1),
-                tuple(w.sinks[v] for v in source),
-            )
-            for flips, bits, source in moves
-        }
-        seen |= orbit
-        yield w, len(orbit)
+        for v, w in enumerate(images):
+            source[w - 1] = v
+        return lambda point: (
+            sum(bit for i, bit in enumerate(bits) if (point[0] ^ flips) >> i & 1),
+            tuple(point[1][v] for v in source),
+        )
+
+    return image
 
 
 def orient(x: UnorientedGraph | GraphSum) -> OrgraphSum:
@@ -459,27 +441,19 @@ def orient(x: UnorientedGraph | GraphSum) -> OrgraphSum:
     encoding, and zero orgraphs are dropped.  Extended linearly to sums.
 
     The witnesses are enumerated first, so the witness bound fires before
-    anything else, and a graph without witnesses is not searched for
-    automorphisms.  An automorphism of the graph maps each witness to one
-    with the same normalized class and its contribution times the
-    automorphism's edge sign.  So a graph with an odd automorphism is zero
-    and orients to the empty sum, its witnesses cancelling class by class;
-    otherwise each automorphism orbit of witnesses contributes its first
-    witness's term times the orbit's size, and one witness per orbit is
-    normalized.
+    anything else.  Then :func:`gckit.graphs._orbits` applies the symmetry
+    rule to them: a zero graph orients to the empty sum, and otherwise one
+    witness per automorphism orbit is normalized, weighted by the orbit's
+    size.
     """
     total = OrgraphSum()
     if isinstance(x, GraphSum):
         for g, c in x.items():
             total._add_sum(orient(g), c)
         return total
-    witnesses = enumerate_orientations(x)
-    if not witnesses:
-        return total
-    group = automorphisms(x)
-    if any(sign < 0 for _, sign in group):
-        return total
-    for w, size in _orbits(x, witnesses, group):
+    witness = {(w.mask, w.sinks): w for w in enumerate_orientations(x)}
+    for point, size in _orbits(x, list(witness), _witness_image(x)):
+        w = witness[point]
         total.add(w.orgraph(), size * orientation_sign(w))
     return total
 

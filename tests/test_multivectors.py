@@ -37,6 +37,7 @@ from gckit import (
     x_derivative,
     xi_derivative,
 )
+import gckit.graphs as graphs_module
 import gckit.multivectors as multivector_module
 from gckit.complexes import EDGE_GRAPH
 from gckit.multivectors import _evaluate_ordered
@@ -344,7 +345,7 @@ class TestAlgebraicEvaluator:
             "_evaluate_ordered",
             wraps=multivector_module._evaluate_ordered,
         ) as evaluate, mock.patch.object(
-            multivector_module, "automorphisms", wraps=multivector_module.automorphisms
+            graphs_module, "automorphisms", wraps=graphs_module.automorphisms
         ) as search:
             or_evaluate_algebraic(graph, [args[c] for c in pattern])
         placed = [tuple(map(id, call.args[1])) for call in evaluate.call_args_list]
@@ -401,10 +402,10 @@ class TestOrgraphEvaluator:
         assert evaluate_orgraph(g, so3) == evaluate_orgraph(s, so3)
 
     @pytest.mark.parametrize("gamma_name", ["edge", "tetra"])
-    def test_two_evaluators_agree(self, gamma_name, corpus, cubic3, request):
+    def test_two_evaluators_agree(self, gamma_name, corpus, so3, cubic3, request):
         gamma = request.getfixturevalue(gamma_name)
         n = gamma.vertex_count
-        for p in corpus + [cubic3]:
+        for p in corpus + [cubic3, so3 + cubic3]:
             direct = evaluate_orgraph(orient(gamma), p)
             algebraic = or_evaluate_algebraic(gamma, [p] * n)
             assert direct == algebraic

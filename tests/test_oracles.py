@@ -3,7 +3,10 @@
 ``oracles`` keeps the exhaustive canonicalizer, automorphism search and
 orgraph normalizer; hypothesis compares them with the library on random
 graphs (isolated vertices and disconnected graphs included) and random
-orgraphs (repeated targets included).  The differential that builds only
+orgraphs (repeated targets included).  The orbits the symmetry rule weighs
+are compared with the orbits of the exhaustive automorphism search, on the
+distinct arrangements of random labels over random graphs with at most six
+vertices, zero graphs included.  The differential that builds only
 the splits that do not cancel is compared with the whole bracket with the
 single edge on every class with at most five vertices, on random graphs
 with at most six, and on random sums with rational coefficients, and the
@@ -70,6 +73,7 @@ from gckit import (
     orient,
     parse_graph,
 )
+from gckit.graphs import _orbits
 from gckit.orient import (
     OrgraphSum,
     OrientationWitness,
@@ -133,6 +137,28 @@ def test_canonicalize_matches_oracle(g):
 @settings(max_examples=150, deadline=None)
 def test_automorphisms_match_oracle(g):
     assert automorphisms(g) == oracles.automorphisms(g)
+
+
+def _arrangement_image(images):
+    return lambda arrangement: tuple(arrangement[v - 1] for v in images)
+
+
+@given(g=graphs(max_vertices=6), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_orbits_match_brute_force(g, data):
+    n = g.vertex_count
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    points = list(dict.fromkeys(itertools.permutations(labels)))
+    orbits = _orbits(g, points, _arrangement_image)
+    if oracles.canonicalize(g).is_zero:
+        assert orbits == []
+        return
+    group = [_arrangement_image(images) for images, _ in oracles.automorphisms(g)]
+    first = {}
+    for point in points:
+        first.setdefault(frozenset(move(point) for move in group), point)
+    assert orbits == [(point, len(orbit)) for orbit, point in first.items()]
+    assert sum(size for _, size in orbits) == len(points)
 
 
 @given(g=orgraphs())

@@ -1,8 +1,8 @@
 """The package namespace re-exports every module's public names, importing
 the command line loads no module that gckit only needs for type hints or
 class declarations, no module or test file keeps an unused import, no
-module keeps an unreferenced private helper, and the benchmark's tracer
-finds every function and cache it reads."""
+module keeps an unreferenced private helper, every docstring reference
+resolves, and the benchmark's tracer finds every function and cache it reads."""
 
 from __future__ import annotations
 
@@ -147,6 +147,60 @@ def test_every_private_helper_is_referenced():
             if sum(len(word.findall(text)) for text in texts) == 1:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreferenced, unreferenced
+
+
+REFERENCE = re.compile(r":(func|class|meth|mod):`([^`]*)`")
+
+
+def _docstring_references(tree: ast.Module) -> list[tuple[str, str, str | None]]:
+    """``(role, name, enclosing class)`` of every reference in a docstring."""
+    found = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node) or ""
+            found.extend((role, name, cls) for role, name in REFERENCE.findall(doc))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _resolves(modules: dict, module, role: str, name: str, cls: str | None) -> bool:
+    """Whether a reference in ``module``, inside class ``cls``, names an object."""
+    if role == "mod":
+        return name in modules
+    parts = name.split(".")
+    if parts[0] == "gckit":
+        owner = max(i for i in range(1, len(parts) + 1) if ".".join(parts[:i]) in modules)
+        target, parts = modules[".".join(parts[:owner])], parts[owner:]
+    elif role == "meth" and len(parts) == 1:
+        target = getattr(module, cls) if cls else None
+    else:
+        target = module
+    for part in parts:
+        target = getattr(target, part, None)
+    return target is not None
+
+
+def test_every_docstring_reference_resolves():
+    """Every ``:func:``, ``:class:``, ``:meth:`` and ``:mod:`` reference in a
+    docstring names a defined object: a bare name in its own module, a bare
+    ``:meth:`` on the enclosing class, ``gckit.<module>.<name>`` through the
+    package."""
+    modules = {f"gckit.{name}": importlib.import_module(f"gckit.{name}") for name in MODULES}
+    modules.update({"gckit": gckit, "gckit.cli": importlib.import_module("gckit.cli")})
+    references = []
+    for path in SOURCES:
+        module = modules["gckit" if path.stem == "__init__" else f"gckit.{path.stem}"]
+        for role, name, cls in _docstring_references(ast.parse(path.read_text(encoding="utf-8"))):
+            references.append((path.name, role, name, _resolves(modules, module, role, name, cls)))
+    missing = [f"{path}: :{role}:`{name}`" for path, role, name, ok in references if not ok]
+    assert references
+    assert not missing, missing
 
 
 def test_readme_names_only_defined_private_names():
