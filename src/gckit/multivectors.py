@@ -9,11 +9,12 @@ rational arithmetic.  :class:`Multivector` is the third thin subclass of
 the linear-combination base of :mod:`gckit.complexes`: it supplies its
 dimension and a normalizer, and sums accumulate in place through the base.
 
-The module provides the Schouten bracket, the algebraic orientation
-evaluator (a product of edge operators acting on multivectors placed at
-graph vertices), the direct evaluator of oriented-graph sums against a
-bivector, and the identity checks tying the graph differential to the
-Schouten bracket.
+The module provides the Schouten bracket, the paper's two formulas for
+the orientation of a graph on one contraction kernel (each edge an operator
+on multivectors at the vertices, or each arrow of an orgraph an operator on
+copies of a bivector), and the identity checks tying the graph differential
+to the Schouten bracket.  The kernel's independent checks are the oracles
+of the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .complexes import _UNSIGNED_RATIONAL, EDGE_GRAPH, GraphSum, _Sum, _exact
@@ -204,7 +205,7 @@ def jacobiator(p: Multivector) -> Multivector:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic evaluation of graphs on placed arguments.
+# The two formulas of Or(gamma)(P), graphs and orgraphs, on one kernel.
 
 
 def _is_odd_argument(mv: Multivector) -> bool:
@@ -265,40 +266,66 @@ def or_evaluate_algebraic(
 def _evaluate_ordered(
     graph: UnorientedGraph, placed_args: Sequence[Multivector], d: int
 ) -> Multivector:
-    """Edge-operator product with placed_args[i] sitting at vertex i+1.
+    """Edge-operator product with placed_args[i] sitting at vertex i+1, the
+    first edge acting first: edge (u, v) is the operator of its two arrows."""
+    operators = [((u - 1, v - 1), (v - 1, u - 1)) for u, v in graph.edges]
+    return _contract(placed_args, operators, d)
 
-    Vertex k's coordinate alpha is generator j = k*d + alpha of the product
-    algebra, where a term is two ints: exponent j in the bit field of width
-    w at bit j*w, w the bit length of the largest argument exponent
-    (exponents only fall), and a mask with odd generator j at bit j, whose
-    ascending order is the normal order, so placing costs no sign.  Edge
-    (u, v), first edge first, sums d/dx(head, alpha) d/dxi(tail, alpha) over
-    alpha and (tail, head) = (u, v), (v, u): it clears bit tail*d + alpha,
-    signed by the set bits below it, and lowers field head*d + alpha, times
-    its exponent.  The diagonal adds each alpha's fields and normal-orders
-    each mask mod d once.
 
-    An edge operator lowers xi- plus x-degree by exactly one at both ends,
-    and no exponent goes negative, so argument terms whose sum is below
-    their vertex's degree give zero and are dropped up front.
+def _contract(
+    args: Sequence[Multivector], operators: Sequence[Sequence[tuple[int, int]]], d: int
+) -> Multivector:
+    """Apply the operators, first one first, to args[k] placed at copy k, and
+    restrict to the diagonal.
+
+    An operator is a sum of arrows (tail, head), each the sum over alpha of
+    d/dx(head, alpha) d/dxi(tail, alpha).  Copy k's coordinate alpha is
+    generator j = k*d + alpha of the product algebra, where a term is two
+    ints: exponent j in the bit field of width w at bit j*w, w the bit
+    length of the largest argument exponent (exponents only fall), and a
+    mask with odd generator j at bit j, whose ascending order is the normal
+    order.  An arrow clears bit tail*d + alpha, signed by the set bits below
+    it, and lowers field head*d + alpha, times its exponent.  The diagonal
+    adds each alpha's fields and normal-orders each mask mod d once.
+
+    An argument is placed, its bits ORed into the mask, just before the
+    first operator that touches its copy.  That costs no sign unless it is
+    odd and a xi above its copy was cleared, so an odd one comes no later
+    than the first operator with a tail above its copy.  The sweep stops
+    once the product is empty.  An operator lowers xi- plus x-degree by
+    exactly one at each copy it touches, and no exponent goes negative, so
+    argument terms below their copy's degree, the number of operators
+    touching it, are dropped first.
     """
-    n = graph.vertex_count
-    degree = [sum(k in e for e in graph.edges) for k in range(1, n + 1)]
+    degree = [0] * len(args)
+    first: dict[int, int] = {}
+    for step, op in enumerate(operators):
+        for k in {k for arrow in op for k in arrow}:
+            degree[k] += 1
+            first.setdefault(k, step)
     kept = [[(key, c) for key, c in mv._terms.items() if len(key[1]) + sum(key[0]) >= k]
-            for mv, k in zip(placed_args, degree)]
+            for mv, k in zip(args, degree)]
     out = Multivector(d)
     if not all(kept):
         return out
     w = max(max(key[0]) for terms in kept for key, _ in terms).bit_length()
-    big = {(0, 0): 1}
-    for copy, terms in enumerate(kept):
-        packed = [(sum(e << (copy * d + a) * w for a, e in enumerate(xexp)),
-                   sum(1 << copy * d + i for i in xis), c) for (xexp, xis), c in terms]
-        big = {(x + y, m | odd): c * b for (x, m), c in big.items() for y, odd, b in packed}
+    placements: list[list[int]] = [[] for _ in range(len(operators) + 1)]
+    for copy, mv in enumerate(args):
+        step = first.get(copy, len(operators))
+        if _is_odd_argument(mv):
+            step = next((i for i, op in enumerate(operators[:step])
+                         if any(t > copy for t, _ in op)), step)
+        placements[step].append(copy)
     field = (1 << w) - 1
-    for u, v in graph.edges:
-        moves = [(1 << t * d + a, (h * d + a) * w) for t, h in ((u - 1, v - 1), (v - 1, u - 1))
-                 for a in range(d)]
+    big = {(0, 0): 1}
+    for step, copies in enumerate(placements):
+        for copy in copies:
+            packed = [(sum(e << (copy * d + a) * w for a, e in enumerate(xexp)),
+                       sum(1 << copy * d + i for i in xis), c) for (xexp, xis), c in kept[copy]]
+            big = {(x + y, m | odd): c * b for (x, m), c in big.items() for y, odd, b in packed}
+        if step == len(operators):
+            break
+        moves = [(1 << t * d + a, (h * d + a) * w) for t, h in operators[step] for a in range(d)]
         acted = {}
         for (x, m), c in big.items():
             for bit, shift in moves:
@@ -307,118 +334,48 @@ def _evaluate_ordered(
                     power = -power if (m & bit - 1).bit_count() & 1 else power
                     acted[key] = acted.get(key, 0) + c * power
         big = {key: c for key, c in acted.items() if c}
+        if not big:
+            return out
     orders = {}
+    generators = len(args) * d
     for (x, m), c in big.items():
         if m not in orders:
-            orders[m] = _normal_order([j % d for j in range(n * d) if m >> j & 1])
+            orders[m] = _normal_order([j % d for j in range(generators) if m >> j & 1])
         if orders[m] is not None:
-            fields = [x >> j * w & field for j in range(n * d)]
+            fields = [x >> j * w & field for j in range(generators)]
             xis, sign = orders[m]
             out._add((tuple(sum(fields[a::d]) for a in range(d)), xis), c * sign)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Direct evaluation of oriented-graph sums against a bivector.
-
-
-def _bivector_components(p: Multivector) -> dict[tuple[int, int], Multivector]:
-    """Antisymmetric component 0-forms of a bivector, by index pair."""
-    components: dict[tuple[int, int], Multivector] = {}
-    for (xexp, (i, j)), coeff in p._terms.items():
-        components.setdefault((i, j), Multivector(p.dimension))._add((xexp, ()), coeff)
-        components.setdefault((j, i), Multivector(p.dimension))._add((xexp, ()), -coeff)
-    return components
-
-
-def _evaluate_single_orgraph(
-    g: Orgraph,
-    p: Multivector,
-    components: Mapping[tuple[int, int], Multivector],
-    factors: dict[tuple, Multivector],
-) -> Multivector:
-    """Contract one orgraph vertex by vertex.
-
-    Internal vertices choose their index pair in order.  A vertex's factor is
-    its component differentiated by the indices on its in-arrows, so it is
-    multiplied into the partial product as soon as the vertex and all of its
-    sources have chosen, and a zero factor or product ends the branch.  A
-    vertex with more in-arrows than the highest total degree of the
-    bivector's coefficients has a zero factor for every choice, so such an
-    orgraph is zero before any index is chosen.
-    ``factors`` memoizes the factors by pair and derivative indices.  A
-    sink's odd factor is the index on its one arrow; once all of them are
-    chosen, a repeated sink index ends the branch too.  Raises
-    :class:`gckit.orient.OrgraphError` unless every sink receives exactly one
-    arrow.
-    """
-    d = p.dimension
-    s = g.sink_count
-    n = g.internal_count
-    pairs = list(components)
-    into = _arrows_into(g)
-    sink_arrow = [arrow for arrow, in into[:s]]
-    sources = into[s:]
-    out = Multivector(d)
-    top_degree = max((sum(xexp) for xexp, _ in p._terms), default=0)
-    if any(len(arrows) > top_degree for arrows in sources):
-        return out
-    ready: list[list[int]] = [[] for _ in range(n)]
-    for k in range(n):
-        ready[max([k] + [i for i, _ in sources[k]])].append(k)
-    sinks_known = max([i for i, _ in sink_arrow], default=0)
-    chosen: list[tuple[int, int]] = [(0, 0)] * n
-
-    def sink_indices() -> tuple[int, ...]:
-        return tuple(chosen[i][slot] for i, slot in sink_arrow)
-
-    def recurse(vertex: int, value: Multivector) -> None:
-        if vertex == n:
-            indices = sink_indices()
-            for (xexp, _), coeff in value._terms.items():
-                out.add((xexp, indices), coeff)
-            return
-        for pair in pairs:
-            chosen[vertex] = pair
-            if vertex == sinks_known and len(set(sink_indices())) < s:
-                continue
-            product = value
-            for k in ready[vertex]:
-                alphas = [chosen[i][slot] for i, slot in sources[k]]
-                alphas.sort()
-                key = (chosen[k], *alphas)
-                factor = factors.get(key)
-                if factor is None:
-                    factor = components[chosen[k]]
-                    for alpha in alphas:
-                        factor = x_derivative(factor, alpha)
-                    factors[key] = factor
-                product = multivector_product(product, factor) if factor else factor
-                if not product:
-                    break
-            if product:
-                recurse(vertex + 1, product)
-
-    recurse(0, Multivector.of(((0,) * d, ())))
-    return out * Fraction(1, math.factorial(s))
-
-
 def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivector:
     """Evaluate an oriented-graph sum on copies of a bivector.
 
-    Each internal vertex holds a copy of the bivector; every arrow carries a
-    coordinate index, arrows into a vertex differentiate its copy, and the
-    arrows into the ordered sinks supply the odd factors of the result.
-    Raises :class:`gckit.orient.OrgraphError` unless every sink of every
-    orgraph receives exactly one arrow.
+    Internal vertex i of an orgraph is copy i, holding the bivector, sink t
+    is copy n + t, holding E = sum of x_beta xi_beta, and each arrow, in
+    ``(vertex, slot)`` order, is an operator.  An arrow into a sink leaves
+    its xi_beta there, so the sinks supply the result's odd factors in sink
+    order, and a repeated index vanishes in the normal order; tails are
+    internal, so each E is placed at its arrow.  Each orgraph's value is
+    divided by s!.  Raises :class:`gckit.orient.OrgraphError`, before any
+    work, unless every sink of every orgraph receives exactly one arrow.
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
-    components = _bivector_components(p)
-    factors: dict[tuple, Multivector] = {}
-    total = Multivector(p.dimension)
-    for g, coeff in OrgraphSum.of(source).items():
-        total._add_sum(_evaluate_single_orgraph(g, p, components, factors), coeff)
+    terms = OrgraphSum.of(source).items()
+    for g, _ in terms:
+        _arrows_into(g)
+    d = p.dimension
+    e = Multivector(d)
+    for beta in range(d):
+        e._add((tuple(int(a == beta) for a in range(d)), (beta,)), 1)
+    total = Multivector(d)
+    for g, coeff in terms:
+        s, n = g.sink_count, g.internal_count
+        copy = [n + t for t in range(s)] + list(range(n))
+        arrows = [((i, copy[t]),) for i, pair in enumerate(g.targets) for t in pair]
+        value = _contract([p] * n + [e] * s, arrows, d)
+        total._add_sum(value, Fraction(coeff) / math.factorial(s))
     return total
 
 

@@ -31,6 +31,13 @@ replaced: a tensor product of the placed terms with ``(exponent tuple, odd
 index tuple)`` keys, the one-pass edge operator that slices those tuples,
 and the restriction to the diagonal, kept unchanged from
 ``gckit.multivectors`` apart from their names and the ``itertools`` names.
+The recursive evaluator is the direct evaluator that contracted an orgraph
+vertex by vertex, with its table of bivector components and its factor
+memo, before ``gckit`` evaluated an orgraph's arrows as operators on the
+algebraic evaluator's kernel; it is kept unchanged from
+``gckit.multivectors`` apart from the names of the recursion and of the
+component table.  With the brute-force direct evaluator it is what the
+orgraph formula is checked against, now that both formulas share a kernel.
 
 The witness moves are the two-loop ``elementary_moves``, which rebuilds the
 sink lists and the target witness once per kind of move, and the
@@ -58,7 +65,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from gckit.graphs import (
     Edge,
@@ -75,6 +82,7 @@ from gckit.multivectors import (
     _evaluate_ordered,
     _is_odd_argument,
     _normal_order,
+    is_bivector,
     multivector_product,
     x_derivative,
     xi_derivative,
@@ -87,6 +95,7 @@ from gckit.orient import (
     OrgraphSum,
     OrientationWitness,
     SkewSymmetryError,
+    _arrows_into,
     _directed,
     _label_distributions,
     encode_compact,
@@ -461,6 +470,106 @@ def evaluate_single_orgraph(
 
     recurse(0, [])
     return out * Fraction(1, math.factorial(s))
+
+
+def bivector_components(p: Multivector) -> dict[tuple[int, int], Multivector]:
+    """Antisymmetric component 0-forms of a bivector, by index pair."""
+    components: dict[tuple[int, int], Multivector] = {}
+    for (xexp, (i, j)), coeff in p._terms.items():
+        components.setdefault((i, j), Multivector(p.dimension))._add((xexp, ()), coeff)
+        components.setdefault((j, i), Multivector(p.dimension))._add((xexp, ()), -coeff)
+    return components
+
+
+def recursive_evaluate_single_orgraph(
+    g: Orgraph,
+    p: Multivector,
+    components: Mapping[tuple[int, int], Multivector],
+    factors: dict[tuple, Multivector],
+) -> Multivector:
+    """Contract one orgraph vertex by vertex.
+
+    Internal vertices choose their index pair in order.  A vertex's factor is
+    its component differentiated by the indices on its in-arrows, so it is
+    multiplied into the partial product as soon as the vertex and all of its
+    sources have chosen, and a zero factor or product ends the branch.  A
+    vertex with more in-arrows than the highest total degree of the
+    bivector's coefficients has a zero factor for every choice, so such an
+    orgraph is zero before any index is chosen.
+    ``factors`` memoizes the factors by pair and derivative indices.  A
+    sink's odd factor is the index on its one arrow; once all of them are
+    chosen, a repeated sink index ends the branch too.  Raises
+    :class:`gckit.orient.OrgraphError` unless every sink receives exactly one
+    arrow.
+    """
+    d = p.dimension
+    s = g.sink_count
+    n = g.internal_count
+    pairs = list(components)
+    into = _arrows_into(g)
+    sink_arrow = [arrow for arrow, in into[:s]]
+    sources = into[s:]
+    out = Multivector(d)
+    top_degree = max((sum(xexp) for xexp, _ in p._terms), default=0)
+    if any(len(arrows) > top_degree for arrows in sources):
+        return out
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for k in range(n):
+        ready[max([k] + [i for i, _ in sources[k]])].append(k)
+    sinks_known = max([i for i, _ in sink_arrow], default=0)
+    chosen: list[tuple[int, int]] = [(0, 0)] * n
+
+    def sink_indices() -> tuple[int, ...]:
+        return tuple(chosen[i][slot] for i, slot in sink_arrow)
+
+    def recurse(vertex: int, value: Multivector) -> None:
+        if vertex == n:
+            indices = sink_indices()
+            for (xexp, _), coeff in value._terms.items():
+                out.add((xexp, indices), coeff)
+            return
+        for pair in pairs:
+            chosen[vertex] = pair
+            if vertex == sinks_known and len(set(sink_indices())) < s:
+                continue
+            product = value
+            for k in ready[vertex]:
+                alphas = [chosen[i][slot] for i, slot in sources[k]]
+                alphas.sort()
+                key = (chosen[k], *alphas)
+                factor = factors.get(key)
+                if factor is None:
+                    factor = components[chosen[k]]
+                    for alpha in alphas:
+                        factor = x_derivative(factor, alpha)
+                    factors[key] = factor
+                product = multivector_product(product, factor) if factor else factor
+                if not product:
+                    break
+            if product:
+                recurse(vertex + 1, product)
+
+    recurse(0, Multivector.of(((0,) * d, ())))
+    return out * Fraction(1, math.factorial(s))
+
+
+def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivector:
+    """Evaluate an oriented-graph sum on copies of a bivector.
+
+    Each internal vertex holds a copy of the bivector; every arrow carries a
+    coordinate index, arrows into a vertex differentiate its copy, and the
+    arrows into the ordered sinks supply the odd factors of the result.
+    Raises :class:`gckit.orient.OrgraphError` unless every sink of every
+    orgraph receives exactly one arrow.
+    """
+    if not is_bivector(p):
+        raise MultivectorError("bivector required")
+    components = bivector_components(p)
+    factors: dict[tuple, Multivector] = {}
+    total = Multivector(p.dimension)
+    for g, coeff in OrgraphSum.of(source).items():
+        total._add_sum(recursive_evaluate_single_orgraph(g, p, components, factors), coeff)
+    return total
 
 
 def or_evaluate_algebraic(

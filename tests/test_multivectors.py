@@ -52,6 +52,22 @@ def corpus(sym2, so3, quad2):
     return [sym2, so3, quad2]
 
 
+def counted(p: Multivector, products: list) -> Multivector:
+    """``p`` with coefficients that append the other factor of every product
+    they take part in to ``products``."""
+
+    class Coefficient(int):
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    out = Multivector(p.dimension)
+    out._terms = {key: Coefficient(c) for key, c in p._terms.items()}
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Core arithmetic
 
@@ -361,23 +377,10 @@ class TestAlgebraicEvaluator:
         # and these coefficients count their products; tetra on cubic3 shows
         # that the count sees a product that is built.
         products = []
-
-        class Coefficient(int):
-            def __mul__(self, other):
-                products.append(other)
-                return int(self) * other
-
-            __rmul__ = __mul__
-
-        def counted(p):
-            out = Multivector(p.dimension)
-            out._terms = {key: Coefficient(c) for key, c in p._terms.items()}
-            return out
-
         for graph, _ in pentagon_cocycle.items():
-            assert not _evaluate_ordered(graph, [counted(so3)] * 6, 3)
+            assert not _evaluate_ordered(graph, [counted(so3, products)] * 6, 3)
         assert products == []
-        assert _evaluate_ordered(tetra, [counted(cubic3)] * 4, 3)
+        assert _evaluate_ordered(tetra, [counted(cubic3, products)] * 4, 3)
         assert products
 
 
@@ -422,14 +425,18 @@ class TestOrgraphEvaluator:
         assert direct == algebraic
         assert len(direct) == (45 if p_name == "cubic3" else 0)
 
-    def test_orgraphs_zero_by_degree_enter_no_recursion(self, pentagon_cocycle, so3):
-        # so3 is linear, and 10 arrows into 6 internal vertices put two on one.
-        flow = orient(pentagon_cocycle)
-        with mock.patch.object(
-            multivector_module, "multivector_product", wraps=multivector_product
-        ) as product:
-            assert not evaluate_orgraph(flow, so3)
-        product.assert_not_called()
+    def test_orgraphs_zero_by_degree_multiply_no_coefficients(
+        self, pentagon_cocycle, so3, tetra, cubic3
+    ):
+        # so3 is linear, and 10 arrows into 6 internal vertices put two on
+        # one, whose degree 4 the prune finds above each term's 3, so no
+        # bivector term is placed.  The sinks' terms have plain coefficients;
+        # tetra's flow on cubic3 shows that the count sees a placed term.
+        products = []
+        assert not evaluate_orgraph(orient(pentagon_cocycle), counted(so3, products))
+        assert products == []
+        assert evaluate_orgraph(orient(tetra), counted(cubic3, products))
+        assert products
 
     def test_tetra_flow_on_so3_vanishes(self, tetra, so3):
         assert not evaluate_orgraph(orient(tetra), so3)

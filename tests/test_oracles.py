@@ -17,10 +17,11 @@ generation on small bidegrees; the level-set class generation, whose
 classes are compared with the orderly generation's on every bidegree with at
 most six vertices; the dense nullspace, compared with the sparse elimination
 on random small matrices with zero rows, zero columns and dependent columns;
-and the two-pass edge operator and the direct
-evaluator that enumerates every index tuple, which are compared with the
-one-pass edge operator and the vertex-by-vertex evaluator on random
-multivectors, graphs, orgraphs and bivectors, the placement loop over
+the two-pass edge operator, compared with the one-pass edge operator on
+random multivectors and graphs; the direct evaluator that enumerates every
+index tuple and the vertex-by-vertex recursion, both compared with the
+evaluation of an orgraph's arrows on the contraction kernel, on random sums
+of two orgraphs with 0-3 sinks and random bivectors; the placement loop over
 all ``n!`` permutations, compared with the evaluation of one arrangement
 per automorphism orbit on graphs with at most four vertices and on the
 corpus graphs K4, the pentagon wheel and the zero path, and the placement by
@@ -293,14 +294,15 @@ NON_INTEGRAL = COEFFICIENTS.filter(lambda c: c.denominator > 1)
 
 @st.composite
 def flow_orgraphs(draw):
-    """1-2 sinks, at most 4 internal vertices, one arrow into each sink.
+    """0-3 sinks, at most 4 internal vertices, one arrow into each sink.
 
     The sink arrows take random slots first; every other arrow goes to any
     internal vertex but its source, so cycles and repeated targets occur.
     """
-    s = draw(st.sampled_from([1, 2]))
-    # A lone internal vertex has nowhere to send an arrow that no sink takes.
-    n = draw(st.integers(3 - s, 4))
+    s = draw(st.sampled_from([0, 1, 2, 3]))
+    # A lone internal vertex has nowhere to send an arrow that no sink takes,
+    # so it needs exactly two sinks.
+    n = draw(st.integers(1 if s == 2 else 2, 4))
     slots = draw(st.permutations(range(2 * n)))
     targets = [[0, 0] for _ in range(n)]
     for sink, slot in enumerate(slots[:s]):
@@ -392,15 +394,31 @@ def test_packed_evaluator_matches_the_tuple_evaluator(data):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_direct_evaluator_matches_oracle(data):
+    # A sum of two orgraphs, each with 0-3 sinks drawn on its own, pins the
+    # 1/s! factor and the order of the sinks' E arguments: the kernel against
+    # the vertex-by-vertex recursion, whose factor memo serves both orgraphs,
+    # and against the index-tuple enumeration.
     d = data.draw(st.sampled_from([2, 3]))
     p = data.draw(multivectors(d, 2, coefficients=NON_INTEGRAL))
-    components = mv._bivector_components(p)
-    # One factor memo serves both orgraphs, as in an orgraph sum.
-    factors = {}
-    for g in (data.draw(flow_orgraphs()), data.draw(flow_orgraphs())):
-        assert mv._evaluate_single_orgraph(g, p, components, factors) == (
-            oracles.evaluate_single_orgraph(g, p, components)
-        )
+    source = OrgraphSum([(data.draw(flow_orgraphs()), data.draw(COEFFICIENTS)) for _ in range(2)])
+    components = oracles.bivector_components(p)
+    brute = Multivector(d)
+    for g, coeff in source.items():
+        brute._add_sum(oracles.evaluate_single_orgraph(g, p, components), coeff)
+    assert mv.evaluate_orgraph(source, p) == oracles.evaluate_orgraph(source, p) == brute
+
+
+@pytest.mark.parametrize(
+    "targets", [[(3, 2), (3, 2), (1, 0), (0, 1)], [(1, 2), (2, 3), (3, 0), (0, 1)]]
+)
+def test_direct_evaluator_matches_oracle_without_sinks(cubic3, targets):
+    # Random bivectors seldom give a sinkless orgraph a nonzero value, as its
+    # vertices receive two arrows each on average; these are nonzero
+    # functions on cubic3.
+    g = new_orgraph(targets, sink_count=0)
+    brute = oracles.evaluate_single_orgraph(g, cubic3, oracles.bivector_components(cubic3))
+    assert mv.evaluate_orgraph(g, cubic3) == oracles.evaluate_orgraph(g, cubic3) == brute
+    assert brute
 
 
 @given(data=st.data(), kind=st.sampled_from(["equal", "one odd", "two even"]))
