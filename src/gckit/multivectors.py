@@ -242,7 +242,11 @@ def or_evaluate_algebraic(
     operators are odd, so they anticommute: the two values differ by
     ``sign(σ_E)``.  So :func:`gckit.graphs._orbits` applies the symmetry
     rule: a zero graph averages to zero, and otherwise one arrangement per
-    orbit is evaluated, weighted by the orbit's size.
+    orbit is evaluated, weighted by the orbit's size.  A nonzero graph's
+    automorphisms are all even, so any member of an orbit will do; the
+    first in the sorted list puts the arguments that differ from the most
+    common one at the vertices whose edges act last, by the sum of their
+    edges' positions, where they join the product latest.
     """
     n = graph.vertex_count
     if len(args) != n:
@@ -253,7 +257,15 @@ def or_evaluate_algebraic(
     if sum(_is_odd_argument(a) for a in args) > 1:
         raise MultivectorError("well-definedness precondition violated")
     labels = [next(j for j, b in enumerate(args) if a == b) for a in args]
-    arrangements = list(_arrangements(labels))
+    common = max(labels, key=labels.count)
+    acting = [0] * n
+    for step, (u, v) in enumerate(graph.edges):
+        acting[u - 1] += step
+        acting[v - 1] += step
+    arrangements = sorted(
+        _arrangements(labels),
+        key=lambda a: -sum(acting[v] for v, j in enumerate(a) if j != common),
+    )
     total = Multivector(d)
     for arrangement, size in _orbits(
         graph, arrangements, lambda images: lambda a: tuple(a[v - 1] for v in images)

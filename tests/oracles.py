@@ -5,6 +5,10 @@ before the individualize-and-refine search of
 ``gckit.graphs._minimal_labelings``: each tries every relabeling of the form
 it allows and keeps the lexicographically least encoding with the set of
 parities that reach it.  They are kept unchanged, apart from caching.
+``minimal_labelings`` is that search as it was before it fixed the labels
+in one pass once every cell holds one vertex, recursing once per label and
+rebuilding every cell at each step; it is kept unchanged from
+``gckit.graphs._minimal_labelings`` apart from its name.
 
 The kernel basis is the loop that canonicalized one graph per connected
 subset of ``edge_count`` vertex pairs, kept unchanged from
@@ -65,10 +69,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from gckit.graphs import (
+    _MAX_SEARCH_VERTICES,
     Edge,
+    GraphError,
     SignedCanonicalGraph,
     UnorientedGraph,
     edge_permutation_sign,
@@ -247,6 +253,52 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
     is_zero = len(best_signs) == 2
     sign = 1 if is_zero else best_signs.pop()
     return NormalizedOrgraph(Orgraph(s, best_pairs), sign, is_zero, best_order)
+
+
+def minimal_labelings(
+    neighbours: dict[int, set[int]], row: Callable[[int, dict[int, int]], tuple]
+) -> list[dict[int, int]]:
+    """Every labeling of the keys of ``neighbours`` by 0, 1, ... with least rows.
+
+    ``labeling[v]`` is the label of ``v``.  ``row(v, labeling)`` reads only
+    the labels of ``v`` and its ``neighbours``, and must not fall when a
+    neighbour labeled after ``v`` takes a larger label.  Past
+    ``_MAX_SEARCH_VERTICES`` keys it raises :class:`GraphError` at once.
+    """
+    if len(neighbours) > _MAX_SEARCH_VERTICES:
+        raise GraphError(f"labeling search above the maximum {_MAX_SEARCH_VERTICES} vertices")
+    label = dict.fromkeys(neighbours, 0)
+    best: list[tuple] = []
+    found: list[dict[int, int]] = []
+
+    def search(cells: list[list[int]], depth: int) -> None:
+        if not cells:
+            found.append(label.copy())
+            return
+        branches = []
+        for v in cells[0]:
+            refined = []
+            for cell in ([u for u in cells[0] if u != v], *cells[1:]):
+                inner = [u for u in cell if u in neighbours[v]]
+                outer = [u for u in cell if u not in neighbours[v]]
+                refined.extend(part for part in (inner, outer) if part)
+            for lab, u in enumerate(chain([v], *refined), depth):
+                label[u] = lab
+            branches.append((row(v, label), v, refined))
+        least = min(r for r, _, _ in branches)
+        if depth == len(best) or least < best[depth]:
+            del best[depth:]
+            best.append(least)
+            found.clear()
+        elif least > best[depth]:
+            return
+        for r, v, refined in branches:
+            if r == least:
+                label[v] = depth
+                search(refined, depth + 1)
+
+    search([list(neighbours)] if neighbours else [], 0)
+    return found
 
 
 def insert(g1: UnorientedGraph, g2: UnorientedGraph) -> GraphSum:

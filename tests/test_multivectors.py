@@ -147,16 +147,17 @@ def multivectors(
     coefficients=COEFFICIENTS,
     max_degree: int = 2,
     max_terms: int = 4,
+    max_exponent: int = 2,
 ) -> Multivector:
-    """At most max_terms terms, exponents <= 2, xi-degree <= max_degree, small
-    coefficients.
+    """At most max_terms terms, exponents <= max_exponent, xi-degree <=
+    max_degree, small coefficients.
 
     Odd factors are drawn unsorted, so add's normal ordering is exercised.
     """
     out = Multivector(d)
     for _ in range(draw(st.integers(0, max_terms))):
         k = draw(st.integers(0, min(max_degree, d))) if degree is None else degree
-        xexp = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+        xexp = draw(st.lists(st.integers(0, max_exponent), min_size=d, max_size=d))
         xis = draw(st.permutations(range(d)))[:k]
         out.add((xexp, xis), draw(coefficients))
     return out
@@ -367,6 +368,22 @@ class TestAlgebraicEvaluator:
         placed = [tuple(map(id, call.args[1])) for call in evaluate.call_args_list]
         assert len(placed) == len(set(placed)) == orbits
         assert search.call_count == (orbits > 0 and len(set(pattern)) > 1)
+
+    def test_the_linearisation_places_its_direction_where_the_edges_act_last(
+        self, tetra, cubic3
+    ):
+        # K4's four arrangements form one orbit.  Vertex 4 carries edges 2, 4
+        # and 5 of 0-5, the largest sum, so the direction is placed there,
+        # where the product meets it last.
+        direction = schouten(cubic3, cubic3)
+        with mock.patch.object(
+            multivector_module,
+            "_evaluate_ordered",
+            wraps=multivector_module._evaluate_ordered,
+        ) as evaluate:
+            or_evaluate_algebraic(tetra, [direction, cubic3, cubic3, cubic3])
+        (call,) = evaluate.call_args_list
+        assert [arg is direction for arg in call.args[1]] == [False, False, False, True]
 
     def test_gamma5_graphs_are_zero_on_so3_before_the_product(
         self, pentagon_cocycle, so3, tetra, cubic3

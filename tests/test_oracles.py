@@ -3,12 +3,16 @@
 ``oracles`` keeps the exhaustive canonicalizer, automorphism search and
 orgraph normalizer; hypothesis compares them with the library on random
 graphs (isolated vertices and disconnected graphs included) and random
-orgraphs (repeated targets included).  The orbits the symmetry rule weighs
-are compared with the orbits of the exhaustive automorphism search, on the
-distinct arrangements of random labels over random graphs with at most six
-vertices, zero graphs included.  The differential that builds only
-the splits that do not cancel is compared with the whole bracket with the
-single edge on every class with at most five vertices, on random graphs
+orgraphs (repeated targets included), and the labeling search that
+recursed once per label with the one that fixes the labels in one pass
+once every cell holds one vertex, on the same graphs and orgraphs keyed in
+random order and on K7, eight isolated vertices and a 60-vertex path.  The
+orbits the symmetry rule weighs are compared with the orbits of the
+exhaustive automorphism search, on the distinct arrangements of random
+labels over random graphs with at most six vertices, zero graphs included.
+The differential that builds only the splits that do not cancel is
+compared with the whole bracket with the single edge on every class with
+at most five vertices, on random graphs
 with at most six, and on random sums with rational coefficients, and the
 insertion that relabels edges through one helper with the one that
 relabeled them in a loop per attachment, on random small pairs.  It also
@@ -74,7 +78,7 @@ from gckit import (
     orient,
     parse_graph,
 )
-from gckit.graphs import _orbits
+from gckit.graphs import _graph_search, _minimal_labelings, _orbits
 from gckit.orient import (
     OrgraphSum,
     OrientationWitness,
@@ -138,6 +142,48 @@ def test_canonicalize_matches_oracle(g):
 @settings(max_examples=150, deadline=None)
 def test_automorphisms_match_oracle(g):
     assert automorphisms(g) == oracles.automorphisms(g)
+
+
+@given(g=graphs(max_vertices=8), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_labeling_search_matches_oracle_on_graphs(g, data):
+    # The vertices are keyed in random order, as the search branches in key
+    # order and the labelings are compared as an ordered list.
+    vertices = data.draw(st.permutations(range(1, g.vertex_count + 1)))
+    neighbours, row, _ = _graph_search(g.edges, vertices)
+    assert _minimal_labelings(neighbours, row) == oracles.minimal_labelings(neighbours, row)
+
+
+@given(g=orgraphs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_labeling_search_matches_oracle_on_orgraphs(g, data):
+    # The out-neighbours and the row of ``normalize_orgraph``.
+    s = g.sink_count
+
+    def row(v, label):
+        return tuple(sorted(t if t < s else s + label[t - s] for t in g.targets[v]))
+
+    internal = data.draw(st.permutations(range(g.internal_count)))
+    neighbours = {v: {t - s for t in g.targets[v] if t >= s} for v in internal}
+    assert _minimal_labelings(neighbours, row) == oracles.minimal_labelings(neighbours, row)
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        (list(itertools.combinations(range(1, 8), 2)), 7),
+        ([], 8),
+        ([(v, v + 1) for v in range(1, 60)], 60),
+    ],
+    ids=["K7", "edgeless8", "path60"],
+)
+def test_labeling_search_matches_oracle_on_symmetric_graphs(edges, n):
+    # Every labeling of K7 and of 8 isolated vertices is least; the path
+    # has two, each reached through a recursion about 60 deep.
+    neighbours, row, _ = _graph_search(edges, range(1, n + 1))
+    found = _minimal_labelings(neighbours, row)
+    assert found == oracles.minimal_labelings(neighbours, row)
+    assert len(found) == {7: 5040, 8: 40320, 60: 2}[n]
 
 
 def _arrangement_image(images):
@@ -397,10 +443,16 @@ def test_direct_evaluator_matches_oracle(data):
     # A sum of two orgraphs, each with 0-3 sinks drawn on its own, pins the
     # 1/s! factor and the order of the sinks' E arguments: the kernel against
     # the vertex-by-vertex recursion, whose factor memo serves both orgraphs,
-    # and against the index-tuple enumeration.
+    # and against the index-tuple enumeration.  Two in three drawn orgraphs
+    # are zero by symmetry, so the first is drawn nonzero, and with a nonzero
+    # bivector whose exponents reach 3, 40-50% of the sums have a nonzero
+    # value (10% with any orgraphs and bivectors, exponents up to 2).
     d = data.draw(st.sampled_from([2, 3]))
-    p = data.draw(multivectors(d, 2, coefficients=NON_INTEGRAL))
-    source = OrgraphSum([(data.draw(flow_orgraphs()), data.draw(COEFFICIENTS)) for _ in range(2)])
+    p = data.draw(multivectors(d, 2, coefficients=NON_INTEGRAL, max_exponent=3).filter(bool))
+    nonzero = flow_orgraphs().filter(lambda g: not normalize_orgraph(g).is_zero)
+    source = OrgraphSum(
+        [(data.draw(drawn), data.draw(COEFFICIENTS)) for drawn in (nonzero, flow_orgraphs())]
+    )
     components = oracles.bivector_components(p)
     brute = Multivector(d)
     for g, coeff in source.items():

@@ -83,7 +83,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src")},
+        env={"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=60,
