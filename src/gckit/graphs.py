@@ -82,12 +82,17 @@ def _graph_counts(fields: list[str], lineno: int | None) -> tuple[int, int]:
 class _Frozen:
     """Base of the frozen value classes.
 
-    Each subclass names its fields in ``__slots__`` and sets them once, in its
-    own ``__init__``, through ``object.__setattr__``; assigning or deleting
-    one afterwards raises ``AttributeError``.  The ``repr`` reads
-    ``Class(field=value, ...)`` in slot order.  Equality and hashing stay in
-    each subclass, spelled out over its fields: a loop over the fields here
-    would slow every dictionary lookup of a graph or an orgraph.
+    Each subclass names its fields in ``__slots__``, in its ``__init__``'s
+    argument order, and sets them once there through ``object.__setattr__``;
+    assigning or deleting one afterwards raises ``AttributeError``.  A slot
+    named with a leading ``_`` holds what the fields determine (a cached
+    hash, the ``__dict__`` of cached properties) and is not a field.  The
+    ``repr`` reads ``Class(field=value, ...)`` in slot order, and ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild a value through ``__init__``.
+    Equality and hashing stay in each subclass, spelled out over its fields:
+    a loop over the fields here would slow every dictionary lookup of a
+    graph or an orgraph.  A graph hashes its fields once, when it is built;
+    its equality is still spelled out.
     """
 
     __slots__ = ()
@@ -98,10 +103,14 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _fields(self) -> list[str]:
+        return [name for name in self.__slots__ if not name.startswith("_")]
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields())
+
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name != "__dict__"
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -109,14 +118,17 @@ class UnorientedGraph(_Frozen):
     """A simple graph on vertices ``1..vertex_count`` with an ordered edge list.
 
     Each edge is stored with its endpoints sorted; the position of an edge in
-    ``edges`` is the meaningful datum.
+    ``edges`` is the meaningful datum.  The hash is computed once, when the
+    graph is built, since graphs key the caches, sums and witness sets of
+    every layer.
     """
 
-    __slots__ = ("vertex_count", "edges")
+    __slots__ = ("vertex_count", "edges", "_hash")
 
     def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_hash", hash((vertex_count, edges)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -124,7 +136,7 @@ class UnorientedGraph(_Frozen):
         return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return self._hash
 
     @property
     def edge_count(self) -> int:

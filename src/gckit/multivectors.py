@@ -293,12 +293,16 @@ def _contract(
     An operator is a sum of arrows (tail, head), each the sum over alpha of
     d/dx(head, alpha) d/dxi(tail, alpha).  Copy k's coordinate alpha is
     generator j = k*d + alpha of the product algebra, where a term is two
-    ints: exponent j in the bit field of width w at bit j*w, w the bit
-    length of the largest argument exponent (exponents only fall), and a
-    mask with odd generator j at bit j, whose ascending order is the normal
-    order.  An arrow clears bit tail*d + alpha, signed by the set bits below
-    it, and lowers field head*d + alpha, times its exponent.  The diagonal
-    adds each alpha's fields and normal-orders each mask mod d once.
+    ints: exponent j in the bit field of width w at bit j*w, and a mask with
+    odd generator j at bit j, whose ascending order is the normal order.  An
+    arrow clears bit tail*d + alpha, signed by the set bits below it, and
+    lowers field head*d + alpha, times its exponent.  Exponents only fall,
+    so with S the sum over copies of each copy's largest kept exponent, w is
+    the bit length of S + 1: each alpha's fields add up to at most S, below
+    the all-ones field.  The diagonal adds the copies' blocks of d fields as
+    the remainder mod 2^(d*w) - 1, which has no carry and never wraps the
+    sum to zero, merges the terms by that sum and the mask, and decodes each
+    distinct pair once, normal-ordering each mask mod d once.
 
     An argument is placed, its bits ORed into the mask, just before the
     first operator that touches its copy.  That costs no sign unless it is
@@ -320,7 +324,7 @@ def _contract(
     out = Multivector(d)
     if not all(kept):
         return out
-    w = max(max(key[0]) for terms in kept for key, _ in terms).bit_length()
+    w = (sum(max(max(key[0]) for key, _ in terms) for terms in kept) + 1).bit_length()
     placements: list[list[int]] = [[] for _ in range(len(operators) + 1)]
     for copy, mv in enumerate(args):
         step = first.get(copy, len(operators))
@@ -348,15 +352,19 @@ def _contract(
         big = {key: c for key, c in acted.items() if c}
         if not big:
             return out
+    modulus = (1 << d * w) - 1
+    diagonal: dict[tuple[int, int], int | Fraction] = {}
+    for (x, m), c in big.items():
+        key = (x % modulus, m)
+        diagonal[key] = diagonal.get(key, 0) + c
     orders = {}
     generators = len(args) * d
-    for (x, m), c in big.items():
+    for (x, m), c in diagonal.items():
         if m not in orders:
             orders[m] = _normal_order([j % d for j in range(generators) if m >> j & 1])
         if orders[m] is not None:
-            fields = [x >> j * w & field for j in range(generators)]
             xis, sign = orders[m]
-            out._add((tuple(sum(fields[a::d]) for a in range(d)), xis), c * sign)
+            out._add((tuple(x >> a * w & field for a in range(d)), xis), c * sign)
     return out
 
 

@@ -213,14 +213,15 @@ def normalize_orgraph(g: Orgraph) -> NormalizedOrgraph:
         return cached
     s, n = g.sink_count, g.internal_count
 
-    def mapped(v: int, label: dict[int, int]) -> list[int]:
-        return [t if t < s else s + label[t - s] for t in g.targets[v]]
-
-    def row(v: int, label: dict[int, int]) -> tuple[int, ...]:
-        return tuple(sorted(mapped(v, label)))
+    def row(v: int, label: dict[int, int]) -> tuple[int, int]:
+        a, b = g.targets[v]
+        a = a if a < s else s + label[a - s]
+        b = b if b < s else s + label[b - s]
+        return (a, b) if a < b else (b, a)
 
     def swaps(label: dict[int, int]) -> int:
-        return sum(a > b for a, b in (mapped(v, label) for v in range(n)))
+        return sum((a if a < s else s + label[a - s]) > (b if b < s else s + label[b - s])
+                   for a, b in g.targets)
 
     if any(a == b for a, b in g.targets):
         pairs = tuple((a, b) if a <= b else (b, a) for a, b in sorted(g.targets))
@@ -544,7 +545,7 @@ def elementary_moves(
     between the traded ids in the global item order.  Yields (target
     witness, predicted parity ratio) pairs.
     """
-    s = w.sink_count
+    s, ids = w.sink_count, w.readout()
 
     def traded(v1: int, id1: int, v2: int, id2: int, mask: int) -> tuple:
         """Item ``id1`` moves from ``v1`` to ``v2`` and ``id2`` the other way."""
@@ -552,8 +553,7 @@ def elementary_moves(
         sign = -1
         sinks = list(w.sinks)
         for v, gone, come in ((v1, id1, id2), (v2, id2, id1)):
-            other = next(iid for iid, _ in w.items(v) if iid != gone)
-            if lo < other < hi:
+            if lo < ids[ids.index(gone) ^ 1] < hi:  # the other id of its readout pair
                 sign = -sign
             kept = [k for k in sinks[v - 1] if k != gone]
             sinks[v - 1] = tuple(sorted(kept + [come] if come < s else kept))

@@ -44,10 +44,13 @@ component table.  With the brute-force direct evaluator it is what the
 orgraph formula is checked against, now that both formulas share a kernel.
 
 The witness moves are the two-loop ``elementary_moves``, which rebuilds the
-sink lists and the target witness once per kind of move, and the
-``fold_sink_swap`` that compared each Pi pair's sort keys and could add the
-partner in place of the term, both kept unchanged from ``gckit.orient``
-apart from the name under which the fold imports ``normalize_orgraph``.
+sink lists and the target witness once per kind of move, the one-trade
+``item_elementary_moves`` that followed it, which read each companion id
+from the vertex's ``items`` through a generator before the trade read it
+from the readout, and the ``fold_sink_swap`` that compared each Pi pair's
+sort keys and could add the partner in place of the term, all three kept
+unchanged from ``gckit.orient`` apart from the trade's name and the name
+under which the fold imports ``normalize_orgraph``.
 The witness enumeration is the loop that tested every edge mask from the
 first edge on, kept unchanged from ``gckit.orient`` apart from importing
 ``factorial`` and ``prod`` through ``math``.  The orientation morphism is
@@ -814,6 +817,43 @@ def elementary_moves(
                 ),
                 sign,
             )
+
+
+def item_elementary_moves(
+    w: OrientationWitness,
+) -> Iterator[tuple[OrientationWitness, int]]:
+    """Admissible single transitions from a witness, with rule-derived signs.
+
+    Two kinds of move are admissible: reversing one body arrow whose head
+    hosts a sink, transporting that sink label to the old tail, and
+    exchanging two sink labels hosted at distinct vertices.  Either way two
+    item ids trade places between two vertices, which flips the readout
+    parity once, dressed by one extra flip per companion item lying strictly
+    between the traded ids in the global item order.  Yields (target
+    witness, predicted parity ratio) pairs.
+    """
+    s = w.sink_count
+
+    def traded(v1: int, id1: int, v2: int, id2: int, mask: int) -> tuple:
+        """Item ``id1`` moves from ``v1`` to ``v2`` and ``id2`` the other way."""
+        lo, hi = min(id1, id2), max(id1, id2)
+        sign = -1
+        sinks = list(w.sinks)
+        for v, gone, come in ((v1, id1, id2), (v2, id2, id1)):
+            other = next(iid for iid, _ in w.items(v) if iid != gone)
+            if lo < other < hi:
+                sign = -sign
+            kept = [k for k in sinks[v - 1] if k != gone]
+            sinks[v - 1] = tuple(sorted(kept + [come] if come < s else kept))
+        return OrientationWitness(w.graph, s, mask, tuple(sinks)), sign
+
+    for i, (tail, head) in enumerate(_directed(w.graph.edges, w.mask)):
+        for k in w.sinks[head - 1]:
+            yield traded(tail, s + i, head, k, w.mask ^ (1 << i))
+    hosts = {k: v for v, ks in enumerate(w.sinks, 1) for k in ks}
+    for k1, k2 in combinations(range(s), 2):
+        if hosts[k1] != hosts[k2]:
+            yield traded(hosts[k1], k1, hosts[k2], k2, w.mask)
 
 
 

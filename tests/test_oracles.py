@@ -40,17 +40,26 @@ graphs with at most six vertices and four sinks (zero graphs and isolated
 vertices included) and on every graph of the rules-check corpus, ``data/``
 and the heptagon wheel.
 The two-loop elementary moves are compared, order included, with the one
-trade on every witness of the rules-check corpus, and the fold that could
-keep either member of a Pi pair with the fold that keeps the first, on the
-two-sink graphs there and on randomly perturbed orientations.
+trade on every witness of the rules-check corpus, and the trade that read
+each companion id from ``items`` with the one that reads it from the
+readout on every witness of random graphs with at most six vertices and
+four sinks; the fold that could keep either member of a Pi pair is
+compared with the fold that keeps the first, on the two-sink graphs there
+and on randomly perturbed orientations.
 The six value classes are compared with their dataclass twins on random
-fields: construction by position and by keyword, ``repr``, ``==``, ``hash``
-and, for the five frozen ones, that a field cannot be assigned or deleted.
+fields: construction by position and by keyword, ``repr``, ``==``, ``hash``,
+``copy`` and ``deepcopy``, and, for the five frozen ones, that a field
+cannot be assigned or deleted; a pickle round trip gives an equal value.
+The packed evaluator's diagonal is checked on exponents 2^k - 1 at three
+copies, whose sum at the diagonal needs more bits than any one of them,
+for both formulas against the tuple evaluator and the recursion.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -438,6 +447,28 @@ def test_packed_evaluator_matches_the_tuple_evaluator(data):
     assert mv._evaluate_ordered(graph, args, d) == oracles.tuple_evaluate_ordered(graph, args, d)
 
 
+@pytest.mark.parametrize("exponent", [3, 7, 15, 31])
+def test_the_diagonal_field_holds_a_coordinate_summed_over_copies(exponent):
+    # Every term has x1^e, e = 2^k - 1, which fills a field of e's own bit
+    # length; three copies meet at the diagonal, where x1's exponent, up to
+    # 3e, needs more bits.  Both formulas against their oracles.
+    terms = ["*xi1*xi2", "*x2*xi2*xi3", "*x3*xi1*xi3"]
+    p = mv.parse_multivector(" + ".join(f"x1^{exponent}{t}" for t in terms), 3)
+    q = mv.parse_multivector(f"x1^{exponent}*x2*xi1 + x1^{exponent}*x3*xi2 + x1^{exponent}*xi3", 3)
+    path = new_graph(3, [(1, 2), (2, 3)])
+    orgraph = new_orgraph([(0, 3), (1, 4), (2, 3)])
+    recursive = oracles.recursive_evaluate_single_orgraph(
+        orgraph, p, oracles.bivector_components(p), {}
+    )
+    for value, oracle in [
+        (mv._evaluate_ordered(path, [q, p, p], 3), oracles.tuple_evaluate_ordered(path, [q, p, p], 3)),
+        (mv.evaluate_orgraph(orgraph, p), recursive),
+    ]:
+        assert value == oracle
+        top = max(max(xexp) for (xexp, _), _ in value.items())
+        assert top.bit_length() > exponent.bit_length()
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_direct_evaluator_matches_oracle(data):
@@ -643,6 +674,15 @@ def test_enumerate_orientations_matches_oracle(g):
     assert witnesses == sorted(witnesses, key=OrientationWitness.sort_key)
 
 
+@given(g=few_sink_graphs())
+@settings(max_examples=100, deadline=None)
+def test_elementary_moves_match_the_item_trade(g):
+    """The trade that reads each companion id from the readout pair finds the
+    targets and signs of the one that read it from ``items``, in order."""
+    for w in enumerate_orientations(g):
+        assert list(elementary_moves(w)) == list(oracles.item_elementary_moves(w))
+
+
 # ---------------------------------------------------------------------------
 # The orientation morphism
 
@@ -753,6 +793,26 @@ def test_value_class_matches_its_dataclass_twin(cls, data):
                 hash(value)
             value.lines = others["lines"]
             assert value.lines is others["lines"]
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_value_class_copies_like_its_dataclass_twin(cls, data):
+    """``copy.copy`` and ``copy.deepcopy`` give an equal value, with an equal
+    hash for the frozen ones, as they do for the twin; so does a pickle
+    round trip, which the twins, named after the gckit classes, cannot
+    take."""
+    twin, strategies = VALUE_CLASSES[cls]
+    fields = data.draw(st.fixed_dictionaries(strategies))
+    value, ref = cls(**fields), twin(**fields)
+    pickled = pickle.loads(pickle.dumps(value))
+    for original, copies in ((value, [copy.copy(value), copy.deepcopy(value), pickled]),
+                             (ref, [copy.copy(ref), copy.deepcopy(ref)])):
+        for duplicate in copies:
+            assert type(duplicate) is type(original) and duplicate == original
+            if twin.__hash__ is not None:
+                assert hash(duplicate) == hash(original)
 
 
 def test_a_new_report_starts_with_its_own_empty_lists():
