@@ -457,12 +457,12 @@ def test_the_diagonal_field_holds_a_coordinate_summed_over_copies(exponent):
     q = mv.parse_multivector(f"x1^{exponent}*x2*xi1 + x1^{exponent}*x3*xi2 + x1^{exponent}*xi3", 3)
     path = new_graph(3, [(1, 2), (2, 3)])
     orgraph = new_orgraph([(0, 3), (1, 4), (2, 3)])
-    recursive = oracles.recursive_evaluate_single_orgraph(
-        orgraph, p, oracles.bivector_components(p), {}
-    )
+    components = oracles.bivector_components(p)
     for value, oracle in [
-        (mv._evaluate_ordered(path, [q, p, p], 3), oracles.tuple_evaluate_ordered(path, [q, p, p], 3)),
-        (mv.evaluate_orgraph(orgraph, p), recursive),
+        (mv._evaluate_ordered(path, [q, p, p], 3),
+         oracles.tuple_evaluate_ordered(path, [q, p, p], 3)),
+        (mv.evaluate_orgraph(orgraph, p),
+         oracles.recursive_evaluate_single_orgraph(orgraph, p, components, {})),
     ]:
         assert value == oracle
         top = max(max(xexp) for (xexp, _), _ in value.items())
