@@ -26,6 +26,7 @@ from .graphs import (
     GraphError,
     ParseError,
     UnorientedGraph,
+    _counted,
     _graph_counts,
     _integer,
     canonicalize,
@@ -438,8 +439,8 @@ def _sum_lines(text: str, letter: str) -> Iterator[tuple[int, Fraction, str]]:
         yield lineno, coeff, rest
 
 
-def _int_pairs(text: str, sep: str, what: str, lineno: int | None) -> list[Edge]:
-    """The pairs of a list like ``1 2, 1 3``, skipping empty chunks."""
+def _int_pairs(text: str, sep: str, what: str, n: int, lineno: int | None) -> list[Edge]:
+    """The ``n`` pairs of a list like ``1 2, 1 3``, skipping empty chunks."""
     pairs = []
     for chunk in text.split(sep):
         chunk = chunk.strip()
@@ -450,6 +451,8 @@ def _int_pairs(text: str, sep: str, what: str, lineno: int | None) -> list[Edge]
                           _integer(v, lineno, "bad {} {!r}", what, chunk)))
         elif chunk:
             raise ParseError(f"bad {what} {chunk!r}", lineno)
+    if len(pairs) != n:
+        raise ParseError(f"expected {_counted(n, what, what + 's')}, found {len(pairs)}", lineno)
     return pairs
 
 
@@ -467,9 +470,7 @@ def parse_graph_sum(text: str) -> GraphSum:
         if len(fields) != 3 or fields[0] != "g" or not colon:
             raise ParseError("expected 'g <vertices> <edges> : ...'", lineno)
         n, m = _graph_counts(fields[1:], lineno)
-        edges = _int_pairs(edge_part, ",", "edge", lineno)
-        if len(edges) != m:
-            raise ParseError(f"expected {m} edges, found {len(edges)}", lineno)
+        edges = _int_pairs(edge_part, ",", "edge", m, lineno)
         try:
             total.add(new_graph(n, edges), coeff)
         except GraphError as exc:

@@ -449,6 +449,10 @@ def significant_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _counted(n: int, one: str, many: str) -> str:
+    return f"{n} {one if n == 1 else many}"
+
+
 def parse_graph(text: str) -> UnorientedGraph:
     """Parse the one-graph text format::
 
@@ -458,15 +462,16 @@ def parse_graph(text: str) -> UnorientedGraph:
     lines = list(significant_lines(text))
     if not lines:
         raise ParseError("empty graph text")
-    lineno, head = lines[0]
+    (lineno, head), *body = lines
     parts = head.split()
     if len(parts) != 3 or parts[0] != "g":
         raise ParseError("expected header 'g <vertices> <edges>'", lineno)
     n, m = _graph_counts(parts[1:], lineno)
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", lineno)
+    if len(body) != m:
+        expected = _counted(m, "edge line", "edge lines")
+        raise ParseError(f"expected {expected}, found {len(body)}", lineno)
     edges = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         fields = line.split()
         if len(fields) != 2:
             raise ParseError("expected an edge line 'u v'", lineno)

@@ -9,12 +9,13 @@ rational arithmetic.  :class:`Multivector` is the third thin subclass of
 the linear-combination base of :mod:`gckit.complexes`: it supplies its
 dimension and a normalizer, and sums accumulate in place through the base.
 
-The module provides the Schouten bracket, the paper's two formulas for
-the orientation of a graph on one contraction kernel (each edge an operator
-on multivectors at the vertices, or each arrow of an orgraph an operator on
-copies of a bivector), and the identity checks tying the graph differential
-to the Schouten bracket.  The kernel's independent checks are the oracles
-of the tests.
+The module provides the product, the Schouten bracket, the paper's two
+formulas for the orientation of a graph, and the identity checks tying the
+graph differential to the Schouten bracket, on one contraction kernel: a
+product is the contraction with no operators, and each edge (on
+multivectors at the vertices) or each arrow of an orgraph (on copies of a
+bivector) is an operator.  The kernel's independent checks, the tuple-keyed
+product and derivatives among them, are the oracles of the tests.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ __all__ = [
     "MultivectorError",
     "Multivector",
     "multivector_product",
-    "xi_derivative",
-    "x_derivative",
     "schouten",
     "is_bivector",
     "jacobiator",
@@ -139,42 +138,10 @@ class Multivector(_Sum):
 
 
 def multivector_product(f: Multivector, g: Multivector) -> Multivector:
-    """Supercommutative product; odd factor collisions vanish."""
+    """Supercommutative product f·g: their contraction with no operators."""
     if f.dimension != g.dimension:
         raise MultivectorError("dimension mismatch")
-    out = Multivector(f.dimension)
-    for (xa, ia), ca in f._terms.items():
-        for (xb, ib), cb in g._terms.items():
-            merged = _normal_order(ia + ib)
-            if merged is None:
-                continue
-            xis, sign = merged
-            xexp = tuple(a + b for a, b in zip(xa, xb))
-            out._add((xexp, xis), ca * cb if sign > 0 else -ca * cb)
-    return out
-
-
-def xi_derivative(f: Multivector, index: int) -> Multivector:
-    """Left derivative along one odd coordinate."""
-    out = Multivector(f.dimension)
-    for (xexp, xis), coeff in f._terms.items():
-        if index not in xis:
-            continue
-        pos = xis.index(index)
-        rest = xis[:pos] + xis[pos + 1:]
-        out._add((xexp, rest), coeff if pos % 2 == 0 else -coeff)
-    return out
-
-
-def x_derivative(f: Multivector, index: int) -> Multivector:
-    """Derivative along one even coordinate."""
-    out = Multivector(f.dimension)
-    for (xexp, xis), coeff in f._terms.items():
-        if not xexp[index]:
-            continue
-        lowered = xexp[:index] + (xexp[index] - 1,) + xexp[index + 1:]
-        out._add((lowered, xis), coeff * xexp[index])
-    return out
+    return _contract([f, g], (), f.dimension)
 
 
 def schouten(f: Multivector, g: Multivector) -> Multivector:
@@ -288,7 +255,7 @@ def _contract(
     args: Sequence[Multivector], operators: Sequence[Sequence[tuple[int, int]]], d: int
 ) -> Multivector:
     """Apply the operators, first one first, to args[k] placed at copy k, and
-    restrict to the diagonal.
+    restrict to the diagonal: with no operators, the product of the args.
 
     An operator is a sum of arrows (tail, head), each the sum over alpha of
     d/dx(head, alpha) d/dxi(tail, alpha).  Copy k's coordinate alpha is
@@ -474,9 +441,10 @@ _MAX_DIMENSION = 10_000
 # The deepest parenthesis nesting accepted; the parser recurses per level.
 _MAX_NESTING = 100
 
-# The most term pairs one product may multiply out, about 0.1 s of work.
+# The most term pairs one product may multiply out, under 0.05 s of work.
 # ``(x1+x2+x3)^100`` needs at most 15,150 per step; the sum of five
-# variables passes the bound at ``^18``, refused after 0.3 s of work.
+# variables passes the bound at ``^18``, refused after 0.12-0.13 s of work
+# (measured on a 2-core Xeon under CPython 3.11.7).
 _MAX_PRODUCT_PAIRS = 25_000
 
 # ``bad`` takes any other character, so consecutive matches cover the text.
@@ -504,6 +472,7 @@ class _ExpressionParser:
                  lineno: int | None) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.end = tokens[-1][2] + len(tokens[-1][1])  # the column past the last token
         self.dimension = dimension
         self.lineno = lineno
 
@@ -513,7 +482,7 @@ class _ExpressionParser:
     def take(self) -> tuple[str, str, int]:
         token = self.peek()
         if token is None:
-            raise ParseError("unexpected end of expression", self.lineno)
+            raise self.fail("unexpected end of expression", self.end)
         self.pos += 1
         return token
 
@@ -618,8 +587,8 @@ class _ExpressionParser:
             value = self.expression()
             if self.accept(")"):
                 return value
-            closing, last = self.peek(), self.tokens[-1]
-            column = last[2] + len(last[1]) if closing is None else closing[2]
+            closing = self.peek()
+            column = self.end if closing is None else closing[2]
             raise self.fail("missing closing parenthesis", column)
         raise self.fail(f"unexpected {text!r}", column)
 

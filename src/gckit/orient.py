@@ -30,7 +30,7 @@ from itertools import combinations
 from math import factorial, prod
 
 from .graphs import ParseError, UnorientedGraph, _Frozen, inversion_count, significant_lines
-from .graphs import _integer, _least_labeling, _orbits
+from .graphs import _counted, _integer, _least_labeling, _orbits
 from .complexes import GraphSum, _Sum, _int_pairs, _sum_lines
 
 __all__ = [
@@ -614,10 +614,6 @@ def _sign_glyph(sign: int) -> str:
     return "(+)" if sign > 0 else "(-)"
 
 
-def _counted(n: int, one: str, many: str) -> str:
-    return f"{n} {one if n == 1 else many}"
-
-
 class RulesReport:
     """Outcome of checking the sign rules against permutation parities.
 
@@ -893,9 +889,7 @@ def _parse_orgraph_body(body: str, lineno: int | None) -> Orgraph:
     s = _integer(fields[2], lineno, message) if len(fields) == 3 else 2
     if n < 1:
         raise ParseError("orgraph needs at least one internal vertex", lineno)
-    pairs = _int_pairs(pair_part, ";", "target pair", lineno)
-    if len(pairs) != n:
-        raise ParseError(f"expected {n} target pairs, found {len(pairs)}", lineno)
+    pairs = _int_pairs(pair_part, ";", "target pair", n, lineno)
     try:
         return new_orgraph(pairs, s)
     except OrgraphError as exc:

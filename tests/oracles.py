@@ -22,6 +22,13 @@ the whole bracket with the single edge, every split and leaf term built,
 through the insertion that relabeled each edge in one loop per attachment;
 all three are kept unchanged from ``gckit.complexes``.
 
+The tuple algebra is the supercommutative product that multiplied every
+pair of ``(exponent tuple, odd index tuple)`` terms, before ``gckit`` took a
+product as the contraction with no operators, and the odd and even
+derivatives, which no code in ``gckit`` called any more; all three are kept
+unchanged from ``gckit.multivectors``, and the oracles below take every
+product and derivative from them, none from ``gckit``.
+
 The flow kernels are the two-pass edge operator, the direct evaluator
 that enumerates every tuple of index pairs before it prunes, the algebraic
 evaluator's placement loop over all ``n!`` permutations, and its placement
@@ -92,9 +99,6 @@ from gckit.multivectors import (
     _is_odd_argument,
     _normal_order,
     is_bivector,
-    multivector_product,
-    x_derivative,
-    xi_derivative,
 )
 from gckit.orient import (
     _MAX_WITNESSES,
@@ -447,6 +451,45 @@ def edge_classes(vertex_count: int, edge_count: int) -> set[tuple[Edge, ...]]:
     if size < edge_count:
         level = {tuple(e for e in pairs if e not in edges) for edges in level}
     return level
+
+
+def multivector_product(f: Multivector, g: Multivector) -> Multivector:
+    """Supercommutative product; odd factor collisions vanish."""
+    if f.dimension != g.dimension:
+        raise MultivectorError("dimension mismatch")
+    out = Multivector(f.dimension)
+    for (xa, ia), ca in f._terms.items():
+        for (xb, ib), cb in g._terms.items():
+            merged = _normal_order(ia + ib)
+            if merged is None:
+                continue
+            xis, sign = merged
+            xexp = tuple(a + b for a, b in zip(xa, xb))
+            out._add((xexp, xis), ca * cb if sign > 0 else -ca * cb)
+    return out
+
+
+def xi_derivative(f: Multivector, index: int) -> Multivector:
+    """Left derivative along one odd coordinate."""
+    out = Multivector(f.dimension)
+    for (xexp, xis), coeff in f._terms.items():
+        if index not in xis:
+            continue
+        pos = xis.index(index)
+        rest = xis[:pos] + xis[pos + 1:]
+        out._add((xexp, rest), coeff if pos % 2 == 0 else -coeff)
+    return out
+
+
+def x_derivative(f: Multivector, index: int) -> Multivector:
+    """Derivative along one even coordinate."""
+    out = Multivector(f.dimension)
+    for (xexp, xis), coeff in f._terms.items():
+        if not xexp[index]:
+            continue
+        lowered = xexp[:index] + (xexp[index] - 1,) + xexp[index + 1:]
+        out._add((lowered, xis), coeff * xexp[index])
+    return out
 
 
 def schouten(f: Multivector, g: Multivector) -> Multivector:

@@ -215,6 +215,7 @@ class TestSumTextFormat:
             ("g 2 1 : 1 b", "bad edge '1 b'"),
             ("g 2 1 : , 1 2,,", None),
             ("g 3 2 : 1 2", "expected 2 edges, found 1"),
+            ("g 2 1 :", "expected 1 edge, found 0"),
         ]:
             text = f"# sum\n2 * {body}\n"
             if message is None:

@@ -259,6 +259,8 @@ class TestTextFormat:
     def test_wrong_edge_count_is_position_annotated(self):
         with pytest.raises(ParseError, match=r"line 2: expected 6 edge lines, found 1"):
             parse_graph("# x\ng 4 6\n1 2\n")
+        with pytest.raises(ParseError, match=r"^line 1: expected 1 edge line, found 2$"):
+            parse_graph("g 2 1\n1 2\n1 2\n")
 
     def test_bad_edge_line(self):
         with pytest.raises(ParseError, match=r"line 2: expected an edge line"):

@@ -34,13 +34,12 @@ from gckit import (
     schouten,
     shape,
     verify_corollary,
-    x_derivative,
-    xi_derivative,
 )
 import gckit.graphs as graphs_module
 import gckit.multivectors as multivector_module
 from gckit.complexes import EDGE_GRAPH
 from gckit.multivectors import _evaluate_ordered
+from oracles import x_derivative, xi_derivative
 
 
 def mv(text: str, dim: int) -> Multivector:
@@ -174,7 +173,8 @@ def assert_normal_ordered(m: Multivector) -> None:
 
 
 class TestKernelProperties:
-    """Properties of the one sparse polynomial kernel on random operands."""
+    """Properties of the product (the contraction with no operators) and of
+    sums on random operands; the derivatives are those of the oracles."""
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -637,8 +637,16 @@ class TestMultivectorTextFormat:
             mv("xi0", 2)
         with pytest.raises(ParseError, match="column 3"):
             mv("2**3", 2)
-        with pytest.raises(ParseError, match="unexpected end of expression"):
-            mv("x1*", 2)
+        # The end of the input is one column past the last token.
+        for text, message in (
+            ("x1^", "unexpected end of expression at column 4"),
+            ("x1*", "unexpected end of expression at column 4"),
+            ("+", "unexpected end of expression at column 2"),
+            ("x1 + ", "unexpected end of expression at column 5"),
+            ("(x1", "missing closing parenthesis at column 4"),
+        ):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                mv(text, 2)
         with pytest.raises(ParseError, match="zero denominator in '2/0' at column 4"):
             mv("x1*2/0*xi1", 2)
         with pytest.raises(ParseError, match="exponent above the maximum 100 at column 8"):

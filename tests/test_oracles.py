@@ -33,7 +33,11 @@ corpus graphs K4, the pentagon wheel and the zero path, and the placement by
 repeated products, compared with the one tensor product on the same graphs.
 The per-coordinate Schouten bracket is compared with the single edge's
 operator on random multivectors with at most four coordinates: odd and
-even, inhomogeneous and zero ones.
+even, inhomogeneous and zero ones.  The tuple product is compared with the
+contraction with no operators on random pairs with at most three
+coordinates and rational coefficients, in both orders, odd by odd and
+with an empty factor; the oracles import neither it nor the derivatives
+from ``gckit``.
 The ``orient`` that normalized every witness is compared, byte for byte,
 with the one that normalizes one witness per automorphism orbit, on random
 graphs with at most six vertices and four sinks (zero graphs and isolated
@@ -57,6 +61,7 @@ for both formulas against the tuple evaluator and the recursion.
 
 from __future__ import annotations
 
+import ast
 import copy
 import itertools
 import pickle
@@ -388,6 +393,29 @@ def test_schouten_matches_oracle(data):
     d = data.draw(st.integers(1, 4))
     f, g = (data.draw(multivectors(d, max_degree=4)) for _ in range(2))
     assert mv.schouten(f, g) == oracles.schouten(f, g)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_tuple_oracle(data):
+    # Each factor is of one odd degree or mixed, so odd-by-odd products, whose
+    # sign depends on the factors' order, are drawn often.
+    d = data.draw(st.integers(1, 3))
+    degrees = st.sampled_from([None] + [k for k in (1, 3) if k <= d])
+    f, g = (data.draw(multivectors(d, data.draw(degrees), max_degree=3)) for _ in range(2))
+    for a, b in ((f, g), (g, f), (f, Multivector(d)), (Multivector(d), g)):
+        assert mv.multivector_product(a, b) == oracles.multivector_product(a, b)
+
+
+def test_the_oracles_own_the_tuple_algebra():
+    # The oracles check the kernel, so they must not borrow its product.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("gckit") for alias in node.names}
+    algebra = {"multivector_product", "xi_derivative", "x_derivative"}
+    assert not imported & algebra
+    assert {getattr(oracles, name).__module__ for name in algebra} == {"oracles"}
+    assert {"xi_derivative", "x_derivative"}.isdisjoint(dir(mv))
 
 
 @given(data=st.data())

@@ -533,6 +533,7 @@ class TestOrgraphTextFormat:
             ("o 2 : 0 1 ; 0 1 2", "bad target pair '0 1 2'"),
             ("o 2 : 0 x ; 0 2", "bad target pair '0 x'"),
             ("o 2 : 0 1", "expected 2 target pairs, found 1"),
+            ("o 1 : 0 1 ; 2 3", "expected 1 target pair, found 2"),
         ]:
             with pytest.raises(ParseError, match=f"^line 2: {message}$"):
                 parse_orgraph_sum(f"\n1 * {body}")
