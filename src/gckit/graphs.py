@@ -385,7 +385,7 @@ def automorphisms(g: UnorientedGraph) -> list[tuple[tuple[int, ...], int]]:
     """
     neighbours, row, relabeled = _graph_search(g.edges, range(1, g.vertex_count + 1))
     found = _minimal_labelings(neighbours, row)
-    signs = [edge_permutation_sign(relabeled(label)) for label in found]
+    signs = [-1 if inversion_count(relabeled(label)) % 2 else 1 for label in found]
     result = []
     for label, sign in zip(found, signs):
         vertex_of = {lab: v for v, lab in label.items()}

@@ -118,16 +118,6 @@ class Multivector(_Sum):
     def xi_degrees(self) -> set[int]:
         return {len(xis) for _, xis in self._terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.xi_degrees()) <= 1
-
-    def components(self) -> Iterator[tuple[int, "Multivector"]]:
-        """Yield (xi-degree, homogeneous part) pairs, ascending."""
-        parts: dict[int, Multivector] = {}
-        for key, coeff in self._terms.items():
-            parts.setdefault(len(key[1]), Multivector(self.dimension))._add(key, coeff)
-        yield from sorted(parts.items())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
@@ -145,19 +135,17 @@ def multivector_product(f: Multivector, g: Multivector) -> Multivector:
 
 
 def schouten(f: Multivector, g: Multivector) -> Multivector:
-    """The Schouten bracket [[f, g]], extended bilinearly over components.
+    """The Schouten bracket [[f, g]]: the single edge's operator, run once on
+    f with its terms of even degree negated, and g.
 
-    On the part of f of degree |f| it is ``(-1)^(|f|-1)`` times the single
-    edge's operator on that part and g: ``(-1)^(|f|-1) d/dxi(f)·d/dx(g) -
-    d/dx(f)·d/dxi(g)`` summed over coordinates, shifted-graded antisymmetric.
+    On f of degree |f| that is ``(-1)^(|f|-1) d/dxi(f)·d/dx(g) - d/dx(f)·d/dxi(g)``
+    summed over coordinates, shifted-graded antisymmetric and linear in f.
     """
     if f.dimension != g.dimension:
         raise MultivectorError("dimension mismatch")
-    out = Multivector(f.dimension)
-    for degree, part in f.components():
-        lead = -1 if (degree - 1) % 2 else 1
-        out._add_sum(_evaluate_ordered(EDGE_GRAPH, [part, g], f.dimension), lead)
-    return out
+    signed = Multivector(f.dimension)
+    signed._terms = {key: c if len(key[1]) % 2 else -c for key, c in f._terms.items()}
+    return _evaluate_ordered(EDGE_GRAPH, [signed, g], f.dimension)
 
 
 def is_bivector(p: Multivector) -> bool:
@@ -214,6 +202,10 @@ def or_evaluate_algebraic(
     first in the sorted list puts the arguments that differ from the most
     common one at the vertices whose edges act last, by the sum of their
     edges' positions, where they join the product latest.
+
+    Each edge operator takes one odd factor from every term, so the value is
+    zero, returned before any search, when an argument is zero or the least
+    xi-degrees sum to more than d plus the edge count.
     """
     n = graph.vertex_count
     if len(args) != n:
@@ -223,6 +215,8 @@ def or_evaluate_algebraic(
         raise MultivectorError("dimension mismatch")
     if sum(_is_odd_argument(a) for a in args) > 1:
         raise MultivectorError("well-definedness precondition violated")
+    if not all(args) or sum(min(a.xi_degrees()) for a in args) - graph.edge_count > d:
+        return Multivector(d)
     labels = [next(j for j, b in enumerate(args) if a == b) for a in args]
     common = max(labels, key=labels.count)
     acting = [0] * n

@@ -36,7 +36,10 @@ of the arguments by one ``multivector_product`` per vertex followed by a
 range-checked restriction to the diagonal, all kept unchanged from
 ``gckit.multivectors`` apart from that placement now applying the two-pass
 edge operator.  So is the Schouten bracket that summed derivative products
-coordinate by coordinate, before it became the single edge's operator.  The
+coordinate by coordinate, before it became the single edge's operator, and
+``components``, the ``Multivector`` method with which it splits f by degree,
+kept unchanged as a function of f since ``gckit`` runs that operator once
+on f with its terms of even degree negated.  The
 tuple evaluator is the algebraic evaluator that the packed-integer one
 replaced: a tensor product of the placed terms with ``(exponent tuple, odd
 index tuple)`` keys, the one-pass edge operator that slices those tuples,
@@ -492,6 +495,14 @@ def x_derivative(f: Multivector, index: int) -> Multivector:
     return out
 
 
+def components(f: Multivector) -> Iterator[tuple[int, Multivector]]:
+    """Yield (xi-degree, homogeneous part) pairs, ascending."""
+    parts: dict[int, Multivector] = {}
+    for key, coeff in f._terms.items():
+        parts.setdefault(len(key[1]), Multivector(f.dimension))._add(key, coeff)
+    yield from sorted(parts.items())
+
+
 def schouten(f: Multivector, g: Multivector) -> Multivector:
     """The Schouten bracket [[f, g]], extended bilinearly over components.
 
@@ -502,7 +513,7 @@ def schouten(f: Multivector, g: Multivector) -> Multivector:
     if f.dimension != g.dimension:
         raise MultivectorError("dimension mismatch")
     out = Multivector(f.dimension)
-    for degree, part in f.components():
+    for degree, part in components(f):
         lead = -1 if (degree - 1) % 2 else 1
         for alpha in range(f.dimension):
             dxi, dx = xi_derivative(part, alpha), x_derivative(part, alpha)

@@ -39,7 +39,7 @@ import gckit.graphs as graphs_module
 import gckit.multivectors as multivector_module
 from gckit.complexes import EDGE_GRAPH
 from gckit.multivectors import _evaluate_ordered
-from oracles import x_derivative, xi_derivative
+from oracles import components, x_derivative, xi_derivative
 
 
 def mv(text: str, dim: int) -> Multivector:
@@ -125,12 +125,10 @@ class TestMultivector:
         assert p == 2 * mv("x1*xi1*xi2", 2)
         assert p.coefficient(((1, 0), (1, 0))) == -2
         assert p.xi_degrees() == {2}
-        assert p.is_homogeneous()
 
     def test_components_split_by_degree(self):
         p = mv("x1 + xi1*xi2", 2)
-        assert not p.is_homogeneous()
-        parts = dict(p.components())
+        parts = dict(components(p))
         assert set(parts) == {0, 2}
         assert parts[0] == mv("x1", 2)
 
@@ -272,6 +270,18 @@ class TestSchouten:
         mid = schouten(schouten(f, g), h)
         rhs = (-1) ** (kf * kg) * schouten(g, schouten(f, h))
         assert lhs == mid + rhs
+
+    def test_mixed_degree_f_is_one_contraction(self):
+        # The operator is linear in f, so the sign (-1)^(|f|-1) rides on each
+        # term of f and its parts of degree 0 and 2 share one contraction.
+        f0, f2, g = mv("x1", 2), mv("xi1*xi2", 2), mv("x1*x2*xi1", 2)
+        with mock.patch.object(
+            multivector_module, "_contract", wraps=multivector_module._contract
+        ) as contract:
+            value = schouten(f0 + f2, g)
+        assert contract.call_count == 1
+        assert schouten(f0, g) and schouten(f2, g)
+        assert value == schouten(f0, g) + schouten(f2, g)
 
     def test_self_bracket_detects_poisson(self, corpus, cubic3):
         for p in corpus:

@@ -562,6 +562,40 @@ def test_placement_average_matches_oracle(data, kind):
     assert or_evaluate_algebraic(graph, args) == oracles.or_evaluate_algebraic(graph, args)
 
 
+def test_the_odd_factor_exit_spares_a_value_at_degree_d(tetra, cubic3):
+    # [[P, P]] has xi-degree 3 and P degree 2, so after K4's six edges every
+    # term keeps 3 + 3 * 2 - 6 = d odd factors: nothing vanishes for degree.
+    args = [mv.schouten(cubic3, cubic3)] + [cubic3] * 3
+    value = or_evaluate_algebraic(tetra, args)
+    assert len(value) == 12 and value.xi_degrees() == {3}
+    assert value == oracles.or_evaluate_algebraic(tetra, args)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [new_graph(6, []), new_graph(5, list(itertools.combinations(range(1, 5), 2)))],
+    ids=["g 6 0", "tetra and a vertex"],
+)
+def test_too_many_odd_factors_give_zero_before_the_symmetry_search(so3, graph):
+    # so3 is Poisson, so the linearisation's direction [[P, P]] is zero, and
+    # the flows of the graph and of its differential leave more than d = 3 of
+    # their bivectors' odd factors to every term.
+    live, values = mv.or_evaluate_algebraic, []
+
+    def recorded(g, args):
+        values.append((g, args, live(g, args)))
+        return values[-1][2]
+
+    with mock.patch.object(
+        mv, "or_evaluate_algebraic", side_effect=recorded
+    ), mock.patch("gckit.graphs.automorphisms", wraps=automorphisms) as search:
+        assert mv.verify_corollary(graph, so3)
+    assert search.call_count == 0
+    assert len(values) > 2
+    for g, args, value in values:
+        assert value == oracles.or_evaluate_algebraic(g, args)
+
+
 @pytest.mark.parametrize("kind", ["one odd", "two even"])
 @pytest.mark.parametrize("name", ["tetra", "wheel5", "path3"])
 @given(data=st.data())
