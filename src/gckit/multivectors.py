@@ -14,8 +14,9 @@ formulas for the orientation of a graph, and the identity checks tying the
 graph differential to the Schouten bracket, on one contraction kernel: a
 product is the contraction with no operators, and each edge (on
 multivectors at the vertices) or each arrow of an orgraph (on copies of a
-bivector) is an operator.  The kernel's independent checks, the tuple-keyed
-product and derivatives among them, are the oracles of the tests.
+bivector) is an operator, and an orgraph sum is one contraction per group.
+The kernel's independent checks, the tuple-keyed product and derivatives
+among them, are the oracles of the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import re
 import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from operator import le, lshift
 
 from .complexes import _UNSIGNED_RATIONAL, EDGE_GRAPH, GraphSum, _Sum, _exact
 from .complexes import bracket, differential
@@ -131,7 +133,7 @@ def multivector_product(f: Multivector, g: Multivector) -> Multivector:
     """Supercommutative product f·g: their contraction with no operators."""
     if f.dimension != g.dimension:
         raise MultivectorError("dimension mismatch")
-    return _contract([f, g], (), f.dimension)
+    return _contract([f, g], [((), 1)], f.dimension)
 
 
 def schouten(f: Multivector, g: Multivector) -> Multivector:
@@ -164,7 +166,7 @@ def jacobiator(p: Multivector) -> Multivector:
 
 
 def _is_odd_argument(mv: Multivector) -> bool:
-    return any(degree % 2 for degree in mv.xi_degrees())
+    return any([len(xis) & 1 for _, xis in mv._terms])
 
 
 def _arrangements(labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -241,15 +243,21 @@ def _evaluate_ordered(
 ) -> Multivector:
     """Edge-operator product with placed_args[i] sitting at vertex i+1, the
     first edge acting first: edge (u, v) is the operator of its two arrows."""
-    operators = [((u - 1, v - 1), (v - 1, u - 1)) for u, v in graph.edges]
-    return _contract(placed_args, operators, d)
+    operators = tuple(((u - 1, v - 1), (v - 1, u - 1)) for u, v in graph.edges)
+    return _contract(placed_args, [(operators, 1)], d)
+
+
+Operator = tuple[tuple[int, int], ...]
 
 
 def _contract(
-    args: Sequence[Multivector], operators: Sequence[Sequence[tuple[int, int]]], d: int
+    args: Sequence[Multivector],
+    sequences: Sequence[tuple[Sequence[Operator], int | Fraction]],
+    d: int,
 ) -> Multivector:
-    """Apply the operators, first one first, to args[k] placed at copy k, and
-    restrict to the diagonal: with no operators, the product of the args.
+    """The weighted sum over ``(operators, weight)`` in ``sequences`` of the
+    operators applied, first one first, to args[k] placed at copy k, and
+    restricted to the diagonal: one empty sequence gives the product.
 
     An operator is a sum of arrows (tail, head), each the sum over alpha of
     d/dx(head, alpha) d/dxi(tail, alpha).  Copy k's coordinate alpha is
@@ -258,74 +266,112 @@ def _contract(
     odd generator j at bit j, whose ascending order is the normal order.  An
     arrow clears bit tail*d + alpha, signed by the set bits below it, and
     lowers field head*d + alpha, times its exponent.  Exponents only fall,
-    so with S the sum over copies of each copy's largest kept exponent, w is
-    the bit length of S + 1: each alpha's fields add up to at most S, below
-    the all-ones field.  The diagonal adds the copies' blocks of d fields as
-    the remainder mod 2^(d*w) - 1, which has no carry and never wraps the
-    sum to zero, merges the terms by that sum and the mask, and decodes each
-    distinct pair once, normal-ordering each mask mod d once.
+    so with S the sum of the arguments' top degrees, w is the bit length of
+    S + 1: each alpha's fields add up to at most S, below the all-ones
+    field.  A leaf's diagonal adds the copies' blocks of d fields as the
+    remainder mod 2^(d*w) - 1, which has no carry and never wraps the sum to
+    zero; the leaves' terms, times their weights, merge by that sum and the
+    mask, and each distinct pair is decoded once, each mask normal-ordered
+    mod d once.
 
-    An argument is placed, its bits ORed into the mask, just before the
-    first operator that touches its copy.  That costs no sign unless it is
-    odd and a xi above its copy was cleared, so an odd one comes no later
-    than the first operator with a tail above its copy.  The sweep stops
-    once the product is empty.  An operator lowers xi- plus x-degree by
-    exactly one at each copy it touches, and no exponent goes negative, so
-    argument terms below their copy's degree, the number of operators
-    touching it, are dropped first.
+    The sorted sequences are the leaves of a trie of operator prefixes,
+    walked depth first, keeping the partial product at each depth the next
+    sequence shares: a shared prefix is placed and acted on once, and the
+    sequences that extend an empty product are skipped.  An argument is
+    placed, its bits ORed into the mask, just before the first operator that
+    touches its copy, or at the leaf.  That costs no sign unless it is odd
+    and a xi above its copy was cleared, so an odd one comes no later than
+    the first operator with a tail above its copy.
+
+    An operator lowers xi- plus x-degree by exactly one at each copy it
+    touches, and no exponent goes negative.  So a sequence that touches a
+    copy more often than its argument's top degree is zero, and is dropped
+    first, and argument terms below their copy's least degree over the other
+    sequences are dropped: for one sequence exactly the terms below its
+    degree, for more a weaker prune, whose extra terms die in the sweeps
+    that cannot use them.
     """
-    degree = [0] * len(args)
-    first: dict[int, int] = {}
-    for step, op in enumerate(operators):
-        for k in {k for arrow in op for k in arrow}:
-            degree[k] += 1
-            first.setdefault(k, step)
-    kept = [[(key, c) for key, c in mv._terms.items() if len(key[1]) + sum(key[0]) >= k]
-            for mv, k in zip(args, degree)]
+    top = [max([len(xis) + sum(xexp) for xexp, xis in mv._terms], default=-1) for mv in args]
+    live = []
+    least = None
+    for operators, weight in sorted(sequences):
+        degree = [0] * len(args)
+        for op in operators:
+            for k in {k for arrow in op for k in arrow}:
+                degree[k] += 1
+        if all(map(le, degree, top)):
+            live.append((operators, weight))
+            least = degree if least is None else list(map(min, least, degree))
     out = Multivector(d)
-    if not all(kept):
+    if not live:
         return out
-    w = (sum(max(max(key[0]) for key, _ in terms) for terms in kept) + 1).bit_length()
-    placements: list[list[int]] = [[] for _ in range(len(operators) + 1)]
-    for copy, mv in enumerate(args):
-        step = first.get(copy, len(operators))
-        if _is_odd_argument(mv):
-            step = next((i for i, op in enumerate(operators[:step])
-                         if any(t > copy for t, _ in op)), step)
-        placements[step].append(copy)
+    w = (sum(top) + 1).bit_length()
+    ones = (1,) * d
+    packed = [[(sum(map(lshift, xexp, range(copy * d * w, (copy + 1) * d * w, w))),
+                sum(map(lshift, ones, xis)) << copy * d, c)
+               for (xexp, xis), c in mv._terms.items() if len(xis) + sum(xexp) >= k]
+              for copy, (mv, k) in enumerate(zip(args, least))]
+    if not all(packed):
+        return out
+    odd = sum(_is_odd_argument(mv) << copy for copy, mv in enumerate(args))
     field = (1 << w) - 1
-    big = {(0, 0): 1}
-    for step, copies in enumerate(placements):
-        for copy in copies:
-            packed = [(sum(e << (copy * d + a) * w for a, e in enumerate(xexp)),
-                       sum(1 << copy * d + i for i in xis), c) for (xexp, xis), c in kept[copy]]
-            big = {(x + y, m | odd): c * b for (x, m), c in big.items() for y, odd, b in packed}
-        if step == len(operators):
-            break
-        moves = [(1 << t * d + a, (h * d + a) * w) for t, h in operators[step] for a in range(d)]
-        acted = {}
-        for (x, m), c in big.items():
-            for bit, shift in moves:
-                if m & bit and (power := x >> shift & field):
-                    key = (x - (1 << shift), m ^ bit)
-                    power = -power if (m & bit - 1).bit_count() & 1 else power
-                    acted[key] = acted.get(key, 0) + c * power
-        big = {key: c for key, c in acted.items() if c}
-        if not big:
-            return out
     modulus = (1 << d * w) - 1
     diagonal: dict[tuple[int, int], int | Fraction] = {}
-    for (x, m), c in big.items():
-        key = (x % modulus, m)
-        diagonal[key] = diagonal.get(key, 0) + c
+    # shared[j]: the prefix length sequence j shares with the one before it.
+    # stack[t]: the product after t operators and the bit set of its placed
+    # copies, up to the length the next sequence shares or an empty product.
+    shared = [0]
+    for (before, _), (after, _) in zip(live, live[1:]):
+        differ = (t for t, (u, v) in enumerate(zip(before, after)) if u != v)
+        shared.append(next(differ, min(len(before), len(after))))
+    shared.append(0)
+    stack = [({(0, 0): 1}, 0)]
+    for j, (operators, weight) in enumerate(live):
+        depth = shared[j]
+        if depth >= len(stack):
+            continue
+        del stack[depth + 1:]
+        big, placed = stack[depth]
+        for step in range(depth, len(operators) + 1):
+            if step < len(operators):
+                op = operators[step]
+                due = sum({1 << k for arrow in op for k in arrow})
+                due |= odd & (1 << max(t for t, _ in op)) - 1
+            else:
+                due = (1 << len(args)) - 1
+            due &= ~placed
+            for copy in range(len(args)):
+                if due >> copy & 1:
+                    big = {(x + y, m | bits): c * b for (x, m), c in big.items()
+                           for y, bits, b in packed[copy]}
+            placed |= due
+            if step == len(operators):
+                for (x, m), c in big.items():
+                    key = (x % modulus, m)
+                    diagonal[key] = diagonal.get(key, 0) + c * weight
+                break
+            moves = [(1 << t * d + a, (h * d + a) * w) for t, h in op for a in range(d)]
+            acted = {}
+            for (x, m), c in big.items():
+                for bit, shift in moves:
+                    if m & bit and (power := x >> shift & field):
+                        key = (x - (1 << shift), m ^ bit)
+                        power = -power if (m & bit - 1).bit_count() & 1 else power
+                        acted[key] = acted.get(key, 0) + c * power
+            big = {key: c for key, c in acted.items() if c}
+            if not big:
+                break
+            if step < shared[j + 1]:
+                stack.append((big, placed))
     orders = {}
     generators = len(args) * d
+    offsets = range(0, d * w, w)
     for (x, m), c in diagonal.items():
         if m not in orders:
             orders[m] = _normal_order([j % d for j in range(generators) if m >> j & 1])
         if orders[m] is not None:
             xis, sign = orders[m]
-            out._add((tuple(x >> a * w & field for a in range(d)), xis), c * sign)
+            out._add((tuple([x >> offset & field for offset in offsets]), xis), c * sign)
     return out
 
 
@@ -340,6 +386,12 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     internal, so each E is placed at its arrow.  Each orgraph's value is
     divided by s!.  Raises :class:`gckit.orient.OrgraphError`, before any
     work, unless every sink of every orgraph receives exactly one arrow.
+
+    The orgraphs with n internal vertices and s sinks share the arguments
+    ``[P]*n + [E]*s``, so each such group is one contraction, weighted by the
+    coefficients and divided by s!: it drops the orgraphs zero by degree,
+    sweeps the shared arrow prefixes once, and prunes each copy's terms by
+    its least degree over the group.
     """
     if not is_bivector(p):
         raise MultivectorError("bivector required")
@@ -350,13 +402,17 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     e = Multivector(d)
     for beta in range(d):
         e._add((tuple(int(a == beta) for a in range(d)), (beta,)), 1)
-    total = Multivector(d)
+    groups: dict[tuple[int, int], list] = {}
+    operators: dict[tuple[int, int], Operator] = {}  # one per arrow, shared by the orgraphs
     for g, coeff in terms:
         s, n = g.sink_count, g.internal_count
         copy = [n + t for t in range(s)] + list(range(n))
-        arrows = [((i, copy[t]),) for i, pair in enumerate(g.targets) for t in pair]
-        value = _contract([p] * n + [e] * s, arrows, d)
-        total._add_sum(value, Fraction(coeff) / math.factorial(s))
+        arrows = ((i, copy[t]) for i, pair in enumerate(g.targets) for t in pair)
+        sequence = tuple(operators.setdefault(arrow, (arrow,)) for arrow in arrows)
+        groups.setdefault((n, s), []).append((sequence, coeff))
+    total = Multivector(d)
+    for (n, s), sequences in groups.items():
+        total._add_sum(_contract([p] * n + [e] * s, sequences, d), Fraction(1, math.factorial(s)))
     return total
 
 

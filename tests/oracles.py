@@ -52,6 +52,12 @@ algebraic evaluator's kernel; it is kept unchanged from
 ``gckit.multivectors`` apart from the names of the recursion and of the
 component table.  With the brute-force direct evaluator it is what the
 orgraph formula is checked against, now that both formulas share a kernel.
+The per-orgraph loop is the direct evaluator that contracted each orgraph
+of a sum from scratch, before ``gckit`` swept each group of orgraphs with
+the same internal and sink counts through one trie of arrow prefixes; it
+is kept unchanged from ``gckit.multivectors`` apart from its name, a
+shorter docstring, and passing each orgraph's arrows, as a tuple, as a
+single sequence of weight 1.
 
 The witness moves are the two-loop ``elementary_moves``, which rebuilds the
 sink lists and the target witness once per kind of move, the one-trade
@@ -98,6 +104,7 @@ from gckit.graphs import canonicalize as fast_canonicalize
 from gckit.multivectors import (
     Multivector,
     MultivectorError,
+    _contract,
     _evaluate_ordered,
     _is_odd_argument,
     _normal_order,
@@ -678,6 +685,35 @@ def evaluate_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivecto
     total = Multivector(p.dimension)
     for g, coeff in OrgraphSum.of(source).items():
         total._add_sum(recursive_evaluate_single_orgraph(g, p, components, factors), coeff)
+    return total
+
+
+def evaluate_each_orgraph(source: OrgraphSum | Orgraph, p: Multivector) -> Multivector:
+    """Evaluate an oriented-graph sum on copies of a bivector, one
+    contraction per orgraph.
+
+    Internal vertex i of an orgraph is copy i, holding the bivector, sink t
+    is copy n + t, holding E = sum of x_beta xi_beta, and each arrow, in
+    ``(vertex, slot)`` order, is an operator.  Each orgraph's value is
+    divided by s!.  Raises :class:`gckit.orient.OrgraphError`, before any
+    work, unless every sink of every orgraph receives exactly one arrow.
+    """
+    if not is_bivector(p):
+        raise MultivectorError("bivector required")
+    terms = OrgraphSum.of(source).items()
+    for g, _ in terms:
+        _arrows_into(g)
+    d = p.dimension
+    e = Multivector(d)
+    for beta in range(d):
+        e._add((tuple(int(a == beta) for a in range(d)), (beta,)), 1)
+    total = Multivector(d)
+    for g, coeff in terms:
+        s, n = g.sink_count, g.internal_count
+        copy = [n + t for t in range(s)] + list(range(n))
+        arrows = tuple(((i, copy[t]),) for i, pair in enumerate(g.targets) for t in pair)
+        value = _contract([p] * n + [e] * s, [(arrows, 1)], d)
+        total._add_sum(value, Fraction(coeff) / math.factorial(s))
     return total
 
 

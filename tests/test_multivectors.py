@@ -424,6 +424,22 @@ class TestOrgraphEvaluator:
         with pytest.raises(OrgraphError, match=f"sink {sink} must receive exactly one arrow"):
             evaluate_orgraph(new_orgraph(targets), so3)
 
+    def test_a_bad_last_orgraph_fails_before_any_contraction(self, so3):
+        # The valid orgraph comes first in key order and the one whose sink 0
+        # receives two arrows last; every sink is checked before any work.
+        from gckit import OrgraphSum
+
+        good = new_orgraph([(0, 3), (1, 2)])
+        bad = new_orgraph([(0, 3), (0, 4), (1, 5), (2, 3)])
+        source = OrgraphSum([(good, 1), (bad, 1)])
+        assert [g for g, _ in source.items()] == [good, bad]
+        with mock.patch.object(
+            multivector_module, "_contract", wraps=multivector_module._contract
+        ) as contract:
+            with pytest.raises(OrgraphError, match="sink 0 must receive exactly one arrow"):
+                evaluate_orgraph(source, so3)
+        assert contract.call_count == 0
+
     def test_single_orgraph_and_sum_agree(self, so3):
         g = parse_orgraph("o 4 : 0 1 ; 2 4 ; 2 5 ; 2 3")
         from gckit import OrgraphSum

@@ -26,7 +26,10 @@ random multivectors and graphs; the direct evaluator that enumerates every
 index tuple and the vertex-by-vertex recursion, both compared with the
 evaluation of an orgraph's arrows on the contraction kernel, on random sums
 of two orgraphs with 0-3 sinks, the first of them nonzero, and random
-nonzero bivectors; the placement loop over
+nonzero bivectors; the sweep of each group's shared arrow prefixes, compared
+with the loop that contracted each orgraph on its own and with the
+recursion, on random sums of 2-8 orgraphs that share prefixes and span
+several sink and internal counts; the placement loop over
 all ``n!`` permutations, compared with the evaluation of one arrangement
 per automorphism orbit on graphs with at most four vertices and on the
 corpus graphs K4, the pentagon wheel and the zero path, and the placement by
@@ -354,16 +357,17 @@ NON_INTEGRAL = COEFFICIENTS.filter(lambda c: c.denominator > 1)
 
 
 @st.composite
-def flow_orgraphs(draw):
-    """0-3 sinks, at most 4 internal vertices, one arrow into each sink.
+def flow_orgraphs(draw, sinks=None, internal=None):
+    """0-3 sinks, at most 4 internal vertices, one arrow into each sink;
+    ``sinks`` and ``internal`` fix the counts instead.
 
     The sink arrows take random slots first; every other arrow goes to any
     internal vertex but its source, so cycles and repeated targets occur.
     """
-    s = draw(st.sampled_from([0, 1, 2, 3]))
+    s = draw(st.sampled_from([0, 1, 2, 3])) if sinks is None else sinks
     # A lone internal vertex has nowhere to send an arrow that no sink takes,
     # so it needs exactly two sinks.
-    n = draw(st.integers(1 if s == 2 else 2, 4))
+    n = draw(st.integers(1 if s == 2 else 2, 4)) if internal is None else internal
     slots = draw(st.permutations(range(2 * n)))
     targets = [[0, 0] for _ in range(n)]
     for sink, slot in enumerate(slots[:s]):
@@ -531,6 +535,66 @@ def test_direct_evaluator_matches_oracle_without_sinks(cubic3, targets):
     brute = oracles.evaluate_single_orgraph(g, cubic3, oracles.bivector_components(cubic3))
     assert mv.evaluate_orgraph(g, cubic3) == oracles.evaluate_orgraph(g, cubic3) == brute
     assert brute
+
+
+@st.composite
+def shared_prefix_sums(draw):
+    """2-8 orgraphs with rational coefficients in runs that share arrow
+    prefixes: consecutive terms of ``orient`` on a graph with 2-5 vertices
+    and 1-3 sinks (2n - s random edges; no graph on at most six vertices
+    orients to sinkless orgraphs), and an orgraph of ``flow_orgraphs``, 0-3
+    sinks, with copies whose last vertex redraws its arrows into internal
+    vertices.  So the internal and sink counts differ within a sum, which
+    spans several groups of the sweep.
+    """
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    s = draw(st.integers(max(1, 2 * n - len(pairs)), 3))
+    flow = orient(new_graph(n, draw(st.permutations(pairs))[:2 * n - s])).items()
+    start = draw(st.integers(0, max(len(flow) - 1, 0)))
+    orgraphs = [g for g, _ in flow[start:start + draw(st.integers(0, 5))]]
+    # Every sinkless orgraph with fewer than four internal vertices is zero.
+    s = draw(st.integers(0, 3))
+    base = draw(flow_orgraphs(sinks=s, internal=4 if s == 0 else None))
+    n = base.internal_count
+    orgraphs.append(base)
+    for _ in range(draw(st.integers(1, 4))):
+        targets = [list(pair) for pair in base.targets]
+        for slot, t in enumerate(targets[-1]):
+            if t >= s:
+                targets[-1][slot] = draw(st.sampled_from([s + k for k in range(n - 1)]))
+        orgraphs.append(new_orgraph(targets, sink_count=s))
+    source = OrgraphSum([(g, draw(COEFFICIENTS.filter(bool))) for g in orgraphs[-8:]])
+    assume(len(source) >= 2)
+    return source
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_the_prefix_sweep_matches_each_orgraph_and_the_recursion(data):
+    # The sweep of each group's arrow prefixes against one contraction per
+    # orgraph and against the vertex-by-vertex recursion.
+    d = data.draw(st.sampled_from([2, 3]))
+    p = data.draw(multivectors(d, 2, coefficients=NON_INTEGRAL, max_exponent=3).filter(bool))
+    source = data.draw(shared_prefix_sums())
+    value = mv.evaluate_orgraph(source, p)
+    assert value == oracles.evaluate_each_orgraph(source, p) == oracles.evaluate_orgraph(source, p)
+
+
+def test_the_sweep_prunes_a_shared_copy_by_its_least_degree():
+    # Both orgraphs are normalized and start with vertex 0's arrows to sink
+    # 0 and vertex 1.  Vertex 2 receives one arrow in the first orgraph of
+    # the sweep (its arrows sort first) and none in the second, so its copy
+    # has degree 3 and 2; the second orgraph's value needs the bivector's
+    # constant term, of degree 2, at that copy.
+    p = mv.parse_multivector("xi1*xi2 + x1*x2*xi1*xi2", 2)
+    first = new_orgraph([(0, 3), (2, 4), (1, 2)])
+    second = new_orgraph([(0, 3), (1, 2), (2, 3)])
+    source = OrgraphSum([(first, 1), (second, 1)])
+    assert dict(source.items()) == {first: 1, second: 1}
+    value = mv.evaluate_orgraph(source, p)
+    assert value == mv.parse_multivector("xi1*xi2 + 2*x1*x2*xi1*xi2", 2)
+    assert value == oracles.evaluate_each_orgraph(source, p) == oracles.evaluate_orgraph(source, p)
 
 
 @given(data=st.data(), kind=st.sampled_from(["equal", "one odd", "two even"]))
