@@ -29,6 +29,7 @@ from .graphs import (
     _counted,
     _graph_counts,
     _integer,
+    _is_canonical,
     canonicalize,
     is_connected,
     new_graph,
@@ -360,10 +361,11 @@ def _edge_classes(vertex_count: int, edge_count: int) -> list[tuple[Edge, ...]]:
     Orderly generation (Read, "Every one a winner", 1978): every prefix of a
     canonical edge tuple is canonical, so each class is grown exactly once
     from the empty graph by appending a vertex pair after the last edge and
-    keeping the child only if it is its own canonical form.  Past half of
-    the ``C(n, 2)`` pairs, the classes of the complementary edge count are
-    grown instead and complemented (a bijection on classes); those
-    complements are not canonical.
+    keeping the child only if it is its own canonical form: a labeling search
+    bounded by the child's own rows stops at the first smaller row, with no
+    parity read (``graphs._is_canonical``).  Past half of the ``C(n, 2)``
+    pairs, the classes of the complementary edge count are grown instead
+    and complemented (a bijection on classes); those are not canonical.
     """
     pairs = list(combinations(range(1, vertex_count + 1), 2))
     if not 0 <= edge_count <= len(pairs):
@@ -375,7 +377,7 @@ def _edge_classes(vertex_count: int, edge_count: int) -> list[tuple[Edge, ...]]:
         for edges in level:
             for e in pairs[pairs.index(edges[-1]) + 1 if edges else 0 :]:
                 child = edges + (e,)
-                if canonicalize(UnorientedGraph(vertex_count, child)).canonical.edges == child:
+                if _is_canonical(child):
                     children.append(child)
         level = children
     if size < edge_count:

@@ -215,18 +215,20 @@ def new_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> UnorientedGr
 
 
 def inversion_count(seq: Sequence) -> int:
-    """Number of out-of-order pairs in ``seq``.
+    """Out-of-order pairs in ``seq``: the adjacent transpositions that sort it."""
+    return sum(1 for i, a in enumerate(seq) for b in seq[i + 1 :] if a > b)
 
-    This is the number of adjacent transpositions needed to sort the
-    sequence; its parity is the permutation parity.
-    """
-    count = 0
-    n = len(seq)
-    for i in range(n):
-        si = seq[i]
-        for j in range(i + 1, n):
-            if si > seq[j]:
-                count += 1
+
+def _transpositions(keys: Sequence) -> int:
+    """Least transpositions that sort the distinct ``keys``: ``len(keys)`` less
+    the sorting permutation's cycles, of the parity of :func:`inversion_count`."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    count = len(order)
+    for i in range(len(order)):
+        count -= order[i] >= 0  # a new cycle: mark its members
+        j = i
+        while order[j] >= 0:
+            order[j], j = -1, order[j]
     return count
 
 
@@ -235,71 +237,81 @@ def edge_permutation_sign(perm: Sequence) -> int:
     values = list(perm)
     if len(set(values)) != len(values):
         raise GraphError("not a permutation: repeated entries")
-    return -1 if inversion_count(values) % 2 else 1
+    return -1 if _transpositions(values) % 2 else 1
 
 
 def _minimal_labelings(
-    neighbours: dict[int, set[int]], row: Callable[[int, dict[int, int]], tuple]
-) -> list[dict[int, int]]:
+    neighbours: dict[int, set[int]], row: Callable, bound: list[tuple] | None = None
+) -> list[dict[int, int]] | None:
     """Every labeling of the keys of ``neighbours`` by 0, 1, ... with least rows.
 
     ``labeling[v]`` is the label of ``v``.  ``row(v, labeling)`` reads only
-    the labels of ``v`` and its ``neighbours``, and must not fall when a
-    neighbour labeled after ``v`` takes a larger label.  Past
+    the labels of ``v`` and its ``neighbours``, in any order, and must not
+    fall when a neighbour labeled after ``v`` takes a larger label.  So a
+    branch's row is final: its neighbours take each cell's lowest labels,
+    ``1..deg`` in the one cell of depth 0, where only least rows split it.
+    Given ``bound``, a row per label, it returns ``None`` at the first row
+    below it, which begins a smaller encoding, and else ``[]``.  Past
     ``_MAX_SEARCH_VERTICES`` keys it raises :class:`GraphError` at once.
     """
     if len(neighbours) > _MAX_SEARCH_VERTICES:
         raise GraphError(f"labeling search above the maximum {_MAX_SEARCH_VERTICES} vertices")
     label = dict.fromkeys(neighbours, 0)
     n = len(label)
-    best: list[tuple] = []
+    best: list[tuple] = [] if bound is None else bound
     found: list[dict[int, int]] = []
 
-    def search(cells: list[list[int]], depth: int) -> None:
+    def split(cells: list[list[int]], v: int) -> list[list[int]]:
+        adjacent = neighbours[v]
+        refined = []  # a cell that v does not split is kept as it is
+        for cell in ([u for u in cells[0] if u != v], *cells[1:]):
+            inner = [u for u in cell if u in adjacent] if len(cell) > 1 else ()
+            if 0 < len(inner) < len(cell):
+                refined.append(inner)
+                refined.append([u for u in cell if u not in adjacent])
+            elif cell:
+                refined.append(cell)
+        return refined
+
+    def search(cells: list[list[int]], depth: int) -> bool | None:  # true: bound beaten
         if len(cells) == n - depth:  # every cell one vertex: the labels are fixed
             for lab, (u,) in enumerate(cells, depth):
                 label[u] = lab
             for lab, (u,) in enumerate(cells, depth):
                 r = row(u, label)
                 if lab == len(best) or r < best[lab]:
-                    del best[lab:]
-                    best.append(r)
+                    if bound is not None:
+                        return True
+                    best[lab:] = [r]
                     found.clear()
                 elif r > best[lab]:
                     return
-            found.append(label.copy())
+            if bound is None:
+                found.append(label.copy())
             return
         branches = []
         for v in cells[0]:
-            adjacent = neighbours[v]
-            refined = []  # a cell that v does not split is kept as it is
-            for cell in ([u for u in cells[0] if u != v], *cells[1:]):
-                inner = [u for u in cell if u in adjacent] if len(cell) > 1 else ()
-                if 0 < len(inner) < len(cell):
-                    refined.append(inner)
-                    refined.append([u for u in cell if u not in adjacent])
-                elif cell:
-                    refined.append(cell)
             label[v] = lab = depth
-            for cell in refined:
+            refined = split(cells, v) if depth else None
+            for cell in refined or (neighbours[v],):
                 for u in cell:
                     lab += 1
                     label[u] = lab
             branches.append((row(v, label), v, refined))
         least = min(r for r, _, _ in branches)
         if depth == len(best) or least < best[depth]:
-            del best[depth:]
-            best.append(least)
+            if bound is not None:
+                return True
+            best[depth:] = [least]
             found.clear()
         elif least > best[depth]:
             return
         for r, v, refined in branches:
-            if r == least:
-                label[v] = depth
-                search(refined, depth + 1)
+            label[v] = depth
+            if r == least and search(refined or split(cells, v), depth + 1):
+                return True
 
-    search([list(neighbours)] if neighbours else [], 0)
-    return found
+    return None if search([list(neighbours)] if neighbours else [], 0) else found
 
 
 def _least_labeling(
@@ -322,7 +334,7 @@ def _least_labeling(
 def _graph_search(
     edges: Sequence[Edge], vertices: Iterable[int]
 ) -> tuple[dict[int, set[int]], Callable, Callable]:
-    """Neighbours and row of the search on ``vertices``, and ``edges`` relabeled.
+    """Neighbours and row of the search on ``vertices``, and a labeling's parity.
 
     A row lists the higher neighbours' labels and a terminator above every
     label, so that a longer row sorts first, as in a sorted edge list.
@@ -331,15 +343,20 @@ def _graph_search(
     for u, v in edges:
         neighbours[u].add(v)
         neighbours[v].add(u)
+    n = len(neighbours)
 
     def row(v: int, label: dict[int, int]) -> tuple:
         higher = (label[u] for u in neighbours[v] if label[u] > label[v])
-        return tuple(sorted(higher)) + (len(neighbours),)
+        return tuple(sorted(higher)) + (n,)
 
-    def relabeled(label: dict[int, int]) -> list[Edge]:
-        return [tuple(sorted((label[u] + 1, label[v] + 1))) for u, v in edges]
+    def parity(label: dict[int, int]) -> int:
+        keys = []
+        for u, v in edges:
+            a, b = label[u], label[v]
+            keys.append(a * n + b if a < b else b * n + a)
+        return _transpositions(keys)
 
-    return neighbours, row, relabeled
+    return neighbours, row, parity
 
 
 @lru_cache(maxsize=None)
@@ -355,11 +372,21 @@ def _canonical_core(
     least labeling gives the same sorted edges.
     """
     vertices = sorted({v for edge in ref_edges for v in edge})
-    neighbours, row, relabeled = _graph_search(ref_edges, vertices)
-    label, sign, is_zero = _least_labeling(
-        neighbours, row, lambda label: inversion_count(relabeled(label))
-    )
-    return tuple(sorted(relabeled(label))), sign, is_zero
+    neighbours, row, parity = _graph_search(ref_edges, vertices)
+    label, sign, is_zero = _least_labeling(neighbours, row, parity)
+    pairs = ((label[u] + 1, label[v] + 1) for u, v in ref_edges)
+    return tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)), sign, is_zero
+
+
+def _is_canonical(edges: tuple[Edge, ...]) -> bool:
+    """``canonicalize(...).canonical.edges == edges`` for sorted ``edges``, from a
+    search bounded by their own rows; unless their vertices are ``1..k``, no search."""
+    k = len({v for edge in edges for v in edge})
+    if max((v for _, v in edges), default=0) != k:
+        return False
+    neighbours, row, _ = _graph_search(edges, range(1, k + 1))
+    identity = {v: v - 1 for v in neighbours}
+    return _minimal_labelings(neighbours, row, [row(v, identity) for v in neighbours]) is not None
 
 
 def canonicalize(g: UnorientedGraph) -> SignedCanonicalGraph:
@@ -383,9 +410,9 @@ def automorphisms(g: UnorientedGraph) -> list[tuple[tuple[int, ...], int]]:
     induces on the edge list; the list is sorted by ``images``.  Each map
     takes the first least labeling to another; its sign is their parities' product.
     """
-    neighbours, row, relabeled = _graph_search(g.edges, range(1, g.vertex_count + 1))
+    neighbours, row, parity = _graph_search(g.edges, range(1, g.vertex_count + 1))
     found = _minimal_labelings(neighbours, row)
-    signs = [-1 if inversion_count(relabeled(label)) % 2 else 1 for label in found]
+    signs = [-1 if parity(label) % 2 else 1 for label in found]
     result = []
     for label, sign in zip(found, signs):
         vertex_of = {lab: v for v, lab in label.items()}

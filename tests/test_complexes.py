@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from gckit import (
     GraphSum,
     ParseError,
     bracket,
+    canonicalize,
     cocycle_kernel,
     differential,
     format_graph_sum,
@@ -21,6 +23,7 @@ from gckit import (
     new_graph,
     parse_graph_sum,
 )
+import gckit.complexes as complexes
 from gckit.complexes import _nullspace
 from test_oracles import graphs
 
@@ -165,6 +168,14 @@ class TestCocycleKernel:
         basis = cocycle_kernel(5, 5)
         assert len(basis) == 1
         assert basis[0].coefficient(pentagon) in (1, -1)
+
+    def test_orderly_generation_never_canonicalizes(self):
+        # Each child is tested by the bounded labeling search alone; the 21
+        # classes of 6-vertex, 6-edge graphs need no canonical form.
+        with mock.patch.object(complexes, "canonicalize", wraps=canonicalize) as spy:
+            classes = complexes._edge_classes(6, 6)
+        spy.assert_not_called()
+        assert len(classes) == 21
 
     def test_nullspace_is_exact_for_int_input(self):
         # The columns of the matrix [[2, 1, 0], [0, 3, 1]].

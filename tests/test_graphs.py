@@ -22,6 +22,7 @@ from gckit import (
     parse_graph,
     significant_lines,
 )
+from gckit.graphs import _transpositions
 
 
 def relabel(g: UnorientedGraph, image: dict[int, int]) -> UnorientedGraph:
@@ -80,6 +81,20 @@ class TestPermutations:
     @given(st.permutations(range(6)))
     def test_sign_matches_inversion_parity(self, perm):
         assert edge_permutation_sign(perm) == (-1) ** inversion_count(perm)
+
+    def test_transpositions_count_the_sorting_cycles(self):
+        # One 3-cycle sorts with two transpositions, as many as its
+        # inversions; a swap of the ends with one, against three inversions.
+        assert _transpositions(()) == 0
+        assert _transpositions((5, 7, 9)) == 0
+        assert _transpositions((1, 2, 0)) == 2
+        assert _transpositions((2, 1, 0)) == 1
+        assert _transpositions(((1, 3), (1, 2))) == 1
+
+    @given(st.lists(st.integers(), unique=True, max_size=20))
+    def test_transpositions_have_the_inversion_parity(self, seq):
+        assert _transpositions(seq) % 2 == inversion_count(seq) % 2
+        assert _transpositions(seq) <= inversion_count(seq)
 
 
 # ---------------------------------------------------------------------------

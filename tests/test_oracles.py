@@ -10,6 +10,11 @@ random order and on K7, eight isolated vertices and a 60-vertex path.  The
 orbits the symmetry rule weighs are compared with the orbits of the
 exhaustive automorphism search, on the distinct arrangements of random
 labels over random graphs with at most six vertices, zero graphs included.
+The canonicity test of orderly generation, the labeling search bounded by
+a graph's own rows, is compared with ``canonicalize`` and the exhaustive
+canonicalizer on random sorted edge tuples with at most seven vertices
+(children of orderly generation and exchanged labels among them), and with
+``canonicalize`` on every edge set with at most five vertices.
 The differential that builds only the splits that do not cancel is
 compared with the whole bracket with the single edge on every class with
 at most five vertices, on random graphs with at most six, and on random
@@ -96,7 +101,7 @@ from gckit import (
     orient,
     parse_graph,
 )
-from gckit.graphs import _graph_search, _minimal_labelings, _orbits
+from gckit.graphs import _graph_search, _is_canonical, _minimal_labelings, _orbits
 from gckit.orient import (
     OrgraphSum,
     OrientationWitness,
@@ -257,6 +262,52 @@ def test_edge_classes_match_oracle(n, m):
     orderly = classes(complexes._edge_classes)
     assert len(orderly) == len(set(orderly))
     assert set(orderly) == set(classes(oracles.edge_classes))
+
+
+@st.composite
+def sorted_edge_tuples(draw):
+    """A sorted edge tuple on at most seven vertices: a random graph's edges,
+    its canonical ones, those with a later vertex pair appended (a child of
+    orderly generation), or those with two vertex labels exchanged.  So
+    isolated vertices sit anywhere, both answers are common, and the first
+    smaller row of the bounded search falls at any depth."""
+    g = draw(graphs())
+    n = g.vertex_count
+    edges = canonicalize(g).canonical.edges
+    kind = draw(st.sampled_from(["graph", "canonical", "child", "child", "exchange"]))
+    later = [e for e in itertools.combinations(range(1, n + 1), 2) if edges[-1:] < (e,)]
+    if kind == "graph":
+        edges = g.edges
+    elif kind == "child" and later:
+        edges += (draw(st.sampled_from(later)),)
+    elif kind == "exchange" and n > 1:
+        a, b = draw(st.permutations(range(1, n + 1)))[:2]
+        swap = {a: b, b: a}
+        edges = [(swap.get(u, u), swap.get(v, v)) for u, v in edges]
+    return n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+
+
+# Two children whose first smaller row is a leaf row (fewer than one
+# 6-vertex child in twenty has one): the path 3-1-2-4-5 beside an isolated
+# vertex, and a 7-edge graph.
+@given(case=sorted_edge_tuples())
+@example(case=(6, ((1, 2), (1, 3), (2, 4), (4, 5))))
+@example(case=(6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 6))))
+@settings(max_examples=300, deadline=None)
+def test_canonicity_test_matches_canonicalize_and_oracle(case):
+    n, edges = case
+    g = new_graph(n, edges)
+    canonical = _is_canonical(edges)
+    assert canonical == (canonicalize(g).canonical.edges == edges)
+    assert canonical == (oracles.canonicalize(g).canonical.edges == edges)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonicity_test_matches_canonicalize_on_every_edge_set(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for keep in itertools.product((False, True), repeat=len(pairs)):
+        edges = tuple(itertools.compress(pairs, keep))
+        assert _is_canonical(edges) == (canonicalize(new_graph(n, edges)).canonical.edges == edges)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +588,21 @@ def test_direct_evaluator_matches_oracle_without_sinks(cubic3, targets):
     assert brute
 
 
+# Two nonzero orgraphs in two sweep groups, one and two internal vertices.
+SUM_FILLERS = [new_orgraph([(0, 1)], sink_count=2), new_orgraph([(0, 3), (1, 2)], sink_count=2)]
+
+
 @st.composite
 def shared_prefix_sums(draw):
-    """2-8 orgraphs with rational coefficients in runs that share arrow
-    prefixes: consecutive terms of ``orient`` on a graph with 2-5 vertices
-    and 1-3 sinks (2n - s random edges; no graph on at most six vertices
-    orients to sinkless orgraphs), and an orgraph of ``flow_orgraphs``, 0-3
-    sinks, with copies whose last vertex redraws its arrows into internal
-    vertices.  So the internal and sink counts differ within a sum, which
-    spans several groups of the sweep.
+    """2-8 distinct nonzero orgraphs with rational coefficients in runs that
+    share arrow prefixes: consecutive terms of ``orient`` on a graph with 2-5
+    vertices and 1-3 sinks (2n - s random edges; no graph on at most six
+    vertices orients to sinkless orgraphs), and an orgraph of
+    ``flow_orgraphs``, 0-3 sinks, with copies whose last vertex redraws its
+    arrows into internal vertices.  So the internal and sink counts differ
+    within a sum, which spans several groups of the sweep.  Orgraphs that
+    normalize to zero or to an earlier one's form are left out, and
+    ``SUM_FILLERS`` complete a sum of fewer than two, so no draw is rejected.
     """
     n = draw(st.integers(2, 5))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -564,8 +621,17 @@ def shared_prefix_sums(draw):
             if t >= s:
                 targets[-1][slot] = draw(st.sampled_from([s + k for k in range(n - 1)]))
         orgraphs.append(new_orgraph(targets, sink_count=s))
-    source = OrgraphSum([(g, draw(COEFFICIENTS.filter(bool))) for g in orgraphs[-8:]])
-    assume(len(source) >= 2)
+    distinct = {}
+    for g in orgraphs:
+        norm = normalize_orgraph(g)
+        if not norm.is_zero:
+            distinct.setdefault(norm.orgraph, g)
+    for g in SUM_FILLERS:
+        if len(distinct) < 2:
+            distinct.setdefault(normalize_orgraph(g).orgraph, g)
+    kept = list(distinct.values())[-8:]
+    source = OrgraphSum([(g, draw(COEFFICIENTS.filter(bool))) for g in kept])
+    assert len(source) >= 2
     return source
 
 
